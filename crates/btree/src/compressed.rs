@@ -5,10 +5,12 @@
 //! query decompresses at most one block; a CLOCK cache of recently
 //! decompressed blocks amortizes that cost (Figure 2.3, rightmost column).
 
+use memtree_common::clock::Clock;
 use memtree_common::error::MemtreeError;
 use memtree_common::mem::{vec_bytes, vec_of_bytes};
 use memtree_common::traits::{BatchProbe, StaticIndex, Value};
 use std::cell::RefCell;
+#[cfg(test)]
 use std::collections::HashMap;
 
 /// Entries per compressed leaf block.
@@ -77,101 +79,8 @@ impl DecodedBlock {
     }
 }
 
-/// CLOCK (second-chance) cache of decompressed blocks.
-struct ClockCache {
-    capacity: usize,
-    /// (block_id, decoded, referenced)
-    slots: Vec<(usize, DecodedBlock, bool)>,
-    /// block_id → slot position — O(1) probes instead of a linear scan.
-    index: HashMap<usize, usize>,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl ClockCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            slots: Vec::new(),
-            index: HashMap::new(),
-            hand: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn find(&mut self, block_id: usize) -> Option<usize> {
-        let &idx = self.index.get(&block_id)?;
-        self.slots[idx].2 = true;
-        self.hits += 1;
-        Some(idx)
-    }
-
-    /// Caches a decode, returning its slot — or gives the block back
-    /// (`Err`) when the cache holds nothing (capacity 0). The former code
-    /// relied on every caller guarding capacity 0 externally: an unguarded
-    /// insert ran the CLOCK sweep over zero slots and indexed out of
-    /// bounds. A re-insert of an already-cached id refreshes the existing
-    /// slot in place instead of indexing a duplicate that would orphan the
-    /// old slot in the ring.
-    fn insert(&mut self, block_id: usize, block: DecodedBlock) -> Result<usize, DecodedBlock> {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return Err(block);
-        }
-        if let Some(&i) = self.index.get(&block_id) {
-            self.slots[i].1 = block;
-            self.slots[i].2 = true;
-            return Ok(i);
-        }
-        if self.slots.len() < self.capacity {
-            self.index.insert(block_id, self.slots.len());
-            self.slots.push((block_id, block, true));
-            return Ok(self.slots.len() - 1);
-        }
-        // CLOCK sweep: clear reference bits until an unreferenced victim.
-        loop {
-            let slot = &mut self.slots[self.hand];
-            if slot.2 {
-                slot.2 = false;
-                self.hand = (self.hand + 1) % self.slots.len();
-            } else {
-                let victim = self.hand;
-                self.index.remove(&self.slots[victim].0);
-                self.index.insert(block_id, victim);
-                self.slots[victim] = (block_id, block, true);
-                self.hand = (self.hand + 1) % self.slots.len();
-                return Ok(victim);
-            }
-        }
-    }
-
-    /// Drops a cached decode (if any), keeping the slot index coherent.
-    fn invalidate(&mut self, block_id: usize) {
-        if let Some(i) = self.index.remove(&block_id) {
-            self.slots.swap_remove(i);
-            if i < self.slots.len() {
-                self.index.insert(self.slots[i].0, i);
-            }
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
-            }
-        }
-    }
-
-    /// Index ↔ slots bijection plus hand range, asserted by the
-    /// differential cache test after every operation.
-    #[cfg(test)]
-    fn assert_coherent(&self) {
-        assert_eq!(self.index.len(), self.slots.len(), "index/slot count desync");
-        assert!(self.slots.len() <= self.capacity);
-        for (pos, slot) in self.slots.iter().enumerate() {
-            assert_eq!(self.index.get(&slot.0), Some(&pos), "slot {pos} not indexed");
-        }
-        assert!(self.hand == 0 || self.hand < self.slots.len(), "hand out of range");
-    }
-}
+/// CLOCK (second-chance) cache of decompressed blocks, keyed by block id.
+type ClockCache = Clock<usize, DecodedBlock>;
 
 /// A static B+tree whose leaf blocks are block-compressed.
 ///
@@ -204,8 +113,7 @@ impl CompressedBTree {
 
     /// (hits, misses) of the decompressed-block cache.
     pub fn cache_stats(&self) -> (u64, u64) {
-        let c = self.cache.borrow();
-        (c.hits, c.misses)
+        self.cache.borrow().stats()
     }
 
     fn block_for(&self, key: &[u8]) -> usize {

@@ -172,40 +172,18 @@ fn count_lt_le_avx2_impl(prefixes: &[u64], target: u64) -> (usize, usize) {
     }
 }
 
-/// Cached runtime CPU-feature detection (same contract as the succinct
-/// crate's kernels: first call pays for `cpuid`, later calls are one
-/// relaxed atomic load, and the `MEMTREE_KERNELS` policy can pin scalar).
+/// Runtime CPU-feature dispatch through the workspace's cached probe
+/// ([`memtree_common::cached!`]), which honours `MEMTREE_KERNELS=scalar`.
 #[cfg(target_arch = "x86_64")]
 mod cpu {
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    const UNKNOWN: u8 = 0;
-    const ABSENT: u8 = 1;
-    const PRESENT: u8 = 2;
-
-    macro_rules! cached {
-        ($cache:ident, $feature:tt) => {{
-            static $cache: AtomicU8 = AtomicU8::new(UNKNOWN);
-            match $cache.load(Ordering::Relaxed) {
-                UNKNOWN => {
-                    let present = memtree_common::dispatch::hardware_allowed()
-                        && std::arch::is_x86_feature_detected!($feature);
-                    $cache.store(if present { PRESENT } else { ABSENT }, Ordering::Relaxed);
-                    present
-                }
-                state => state == PRESENT,
-            }
-        }};
-    }
-
     #[inline]
     pub(super) fn has_sse2() -> bool {
-        cached!(SSE2, "sse2")
+        memtree_common::cached!("sse2")
     }
 
     #[inline]
     pub(super) fn has_avx2() -> bool {
-        cached!(AVX2, "avx2")
+        memtree_common::cached!("avx2")
     }
 }
 

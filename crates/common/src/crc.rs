@@ -213,17 +213,7 @@ mod hw {
 /// *and* the [`crate::dispatch`] policy allows hardware tiers.
 #[cfg(target_arch = "x86_64")]
 fn hw_enabled() -> bool {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    match STATE.load(Ordering::Relaxed) {
-        0 => {
-            let on = crate::dispatch::hardware_allowed()
-                && std::arch::is_x86_feature_detected!("sse4.2");
-            STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-        s => s == 2,
-    }
+    crate::cached!("sse4.2")
 }
 
 /// Name of the CRC tier the dispatcher selected for this process

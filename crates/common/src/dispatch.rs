@@ -10,8 +10,8 @@
 //! value (or none) means "auto": use whatever the CPU offers.
 //!
 //! The variable is read once per process; flipping it after the first
-//! dispatch has no effect (dispatch results are cached in the kernels
-//! themselves for the same reason).
+//! dispatch has no effect (each kernel's [`cached!`](crate::cached!)
+//! probe keeps its verdict for the same reason).
 
 use std::sync::OnceLock;
 
@@ -39,4 +39,29 @@ pub fn kernel_mode() -> KernelMode {
 #[inline]
 pub fn hardware_allowed() -> bool {
     kernel_mode() == KernelMode::Auto
+}
+
+/// Cached runtime CPU-feature probe, shared by the CRC32C, succinct, and
+/// separator-search kernels: `cached!("bmi2")` is true when the
+/// CPU has the feature *and* [`hardware_allowed`] permits hardware tiers,
+/// so `MEMTREE_KERNELS=scalar` pins every dispatched kernel to its
+/// portable form. Each call site owns one static: the first call pays for
+/// `cpuid`, every later call is one relaxed atomic load. `x86_64` only.
+#[macro_export]
+macro_rules! cached {
+    ($feature:tt) => {{
+        use ::std::sync::atomic::{AtomicU8, Ordering};
+        const UNKNOWN: u8 = 0;
+        const PRESENT: u8 = 2;
+        static STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
+        match STATE.load(Ordering::Relaxed) {
+            UNKNOWN => {
+                let present = $crate::dispatch::hardware_allowed()
+                    && ::std::arch::is_x86_feature_detected!($feature);
+                STATE.store(1 + u8::from(present), Ordering::Relaxed);
+                present
+            }
+            state => state == PRESENT,
+        }
+    }};
 }

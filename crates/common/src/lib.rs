@@ -20,7 +20,10 @@
 //! * [`crc`] — from-scratch, runtime-dispatched CRC32C (SSE4.2 hardware
 //!   tier + portable slicing-by-16) used to frame compressed blocks.
 //! * [`dispatch`] — the process-wide `MEMTREE_KERNELS` kernel-dispatch
-//!   policy consulted by every hardware-accelerated kernel.
+//!   policy consulted by every hardware-accelerated kernel, and the
+//!   [`cached!`] CPU-feature probe built on it.
+//! * [`clock`] — the CLOCK replacement ring behind the LSM block cache and
+//!   the compressed B+tree's block cache.
 //! * [`check`] — a deterministic, dependency-free property-test harness
 //!   (seeded generator + `prop_check`), replacing the external `proptest`.
 //! * [`snapshot`] — [`SnapshotCell`], epoch-stamped `Arc`-swap snapshot
@@ -30,6 +33,7 @@
 
 pub mod bitset;
 pub mod check;
+pub mod clock;
 pub mod crc;
 pub mod dispatch;
 pub mod error;

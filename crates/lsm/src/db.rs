@@ -24,6 +24,8 @@ use crate::disk::{IoStats, SimDisk};
 use crate::manifest::{Edit, Manifest, Version};
 use crate::sstable::{DecodedBlock, SsTable};
 use crate::wal::{wal_file_name, Wal, WalStats};
+use crate::view::{find_in_block, read_block, seek_in_table, ReadView, READ_ATTEMPTS};
+use memtree_common::clock::Clock;
 use memtree_common::error::Result;
 use memtree_common::hash::fmix64;
 use memtree_common::traits::OrderedIndex;
@@ -236,94 +238,18 @@ pub enum SeekResult {
 /// reuse rule that keeps cached entries exact.
 type SeekMemo = HashMap<u64, (Vec<u8>, Option<Vec<u8>>)>;
 
-/// One CLOCK ring of the striped [`BlockCache`].
-#[derive(Default)]
-struct CacheStripe {
-    /// (table id, block idx, payload, referenced)
-    slots: Vec<(u64, usize, Arc<DecodedBlock>, bool)>,
-    /// `(table id, block idx)` → slot position — O(1) probes instead of a
-    /// linear scan of every slot. Maintained by CLOCK replacement below.
-    index: HashMap<(u64, usize), usize>,
-    capacity: usize,
-    hand: usize,
-    hits: u64,
-    misses: u64,
+/// Keeps the smaller of `best` and `k` in `best`.
+fn keep_min(best: &mut Option<Vec<u8>>, k: Option<Vec<u8>>) {
+    if let Some(k) = k {
+        if best.as_deref().is_none_or(|b| k.as_slice() < b) {
+            *best = Some(k);
+        }
+    }
 }
 
-impl CacheStripe {
-    fn get(&mut self, table: u64, block: usize) -> Option<Arc<DecodedBlock>> {
-        let &i = self.index.get(&(table, block))?;
-        let slot = &mut self.slots[i];
-        slot.3 = true;
-        self.hits += 1;
-        Some(Arc::clone(&slot.2))
-    }
-
-    fn insert(&mut self, table: u64, block: usize, data: Arc<DecodedBlock>) {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        // Refresh an already-cached `(table, block)` in place. Blindly
-        // indexing a second slot would leave the old slot in the CLOCK
-        // ring but out of the index — a stale duplicate that wastes
-        // capacity and is invisible to `invalidate`.
-        if let Some(&i) = self.index.get(&(table, block)) {
-            self.slots[i].2 = data;
-            self.slots[i].3 = true;
-            return;
-        }
-        if self.slots.len() < self.capacity {
-            self.index.insert((table, block), self.slots.len());
-            self.slots.push((table, block, data, true));
-            return;
-        }
-        loop {
-            let slot = &mut self.slots[self.hand];
-            if slot.3 {
-                slot.3 = false;
-                self.hand = (self.hand + 1) % self.slots.len();
-            } else {
-                self.index.remove(&(slot.0, slot.1));
-                self.index.insert((table, block), self.hand);
-                self.slots[self.hand] = (table, block, data, true);
-                self.hand = (self.hand + 1) % self.slots.len();
-                return;
-            }
-        }
-    }
-
-    /// Drops one cached block. The swap-removed slot's new occupant is
-    /// re-indexed and the hand is clamped back into range.
-    fn invalidate(&mut self, table: u64, block: usize) {
-        let Some(i) = self.index.remove(&(table, block)) else {
-            return;
-        };
-        self.slots.swap_remove(i);
-        if i < self.slots.len() {
-            self.index.insert((self.slots[i].0, self.slots[i].1), i);
-        }
-        if self.hand >= self.slots.len() {
-            self.hand = 0;
-        }
-    }
-
-    /// Index ↔ slots bijection plus hand range, asserted by the
-    /// differential cache tests after every operation.
-    #[cfg(test)]
-    fn assert_coherent(&self) {
-        assert_eq!(self.index.len(), self.slots.len(), "index/slot count desync");
-        assert!(self.slots.len() <= self.capacity);
-        for (pos, slot) in self.slots.iter().enumerate() {
-            assert_eq!(
-                self.index.get(&(slot.0, slot.1)),
-                Some(&pos),
-                "slot {pos} not indexed at its position"
-            );
-        }
-        assert!(self.hand == 0 || self.hand < self.slots.len(), "hand out of range");
-    }
-}
+/// One lock stripe of the [`BlockCache`]: a CLOCK ring keyed by
+/// `(table id, block idx)`.
+type CacheStripe = Clock<(u64, usize), Arc<DecodedBlock>>;
 
 /// The decoded-block cache: CLOCK replacement behind a HashMap index,
 /// striped across several independently locked rings so concurrent
@@ -343,12 +269,7 @@ impl BlockCache {
         let per = capacity.div_ceil(n);
         Self {
             stripes: (0..n)
-                .map(|_| {
-                    Mutex::new(CacheStripe {
-                        capacity: per,
-                        ..Default::default()
-                    })
-                })
+                .map(|_| Mutex::new(CacheStripe::new(per)))
                 .collect(),
         }
     }
@@ -361,30 +282,30 @@ impl BlockCache {
     }
 
     pub(crate) fn get(&self, table: u64, block: usize) -> Option<Arc<DecodedBlock>> {
-        self.stripe(table, block).get(table, block)
+        self.stripe(table, block).get((table, block)).cloned()
     }
 
     pub(crate) fn insert(&self, table: u64, block: usize, data: Arc<DecodedBlock>) {
-        self.stripe(table, block).insert(table, block, data);
+        // A capacity-0 stripe hands the block back; the miss still counts.
+        let _ = self.stripe(table, block).insert((table, block), data);
     }
 
-    /// Drops one cached block (scrub repairs re-encode blocks in place).
     /// Drops one cached block. Production code retires whole tables via
     /// [`BlockCache::invalidate_table`]; the per-block form is kept for the
     /// cache coherence tests.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn invalidate(&self, table: u64, block: usize) {
-        self.stripe(table, block).invalidate(table, block);
+        self.stripe(table, block).invalidate((table, block));
     }
 
     /// Drops every cached block of `table` (table retirement).
     pub(crate) fn invalidate_table(&self, table: u64) {
         for stripe in &self.stripes {
             let mut s = stripe.lock().unwrap_or_else(|e| e.into_inner());
-            let blocks: Vec<usize> =
-                s.slots.iter().filter(|sl| sl.0 == table).map(|sl| sl.1).collect();
-            for b in blocks {
-                s.invalidate(table, b);
+            let keys: Vec<(u64, usize)> =
+                s.slots.iter().map(|sl| sl.0).filter(|k| k.0 == table).collect();
+            for k in keys {
+                s.invalidate(k);
             }
         }
     }
@@ -394,7 +315,10 @@ impl BlockCache {
         self.stripes
             .iter()
             .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()))
-            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses))
+            .fold((0, 0), |(h, m), s| {
+                let (sh, sm) = s.stats();
+                (h + sh, m + sm)
+            })
     }
 
     #[cfg(test)]
@@ -414,7 +338,9 @@ impl BlockCache {
 /// `Arc`-shared tables, disk, and block cache.
 pub struct Db {
     pub(crate) opts: DbOptions,
-    pub(crate) disk: Arc<SimDisk>,
+    /// Levels, quarantine set, disk, and block cache: the state every read
+    /// below the MemTable goes through, cloned by [`Db::snapshot`].
+    pub(crate) view: ReadView,
     /// MemTable: our paged skip list mapping keys to value-arena slots.
     mem: SkipList,
     /// Value arena; `None` slots are delete tombstones.
@@ -423,11 +349,6 @@ pub struct Db {
     /// Tombstones written into this MemTable generation (upper bound:
     /// overwrites of a tombstone don't decrement it).
     mem_tombstones: usize,
-    /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint.
-    /// Tables are `Arc`-shared with snapshots, which keep reading a
-    /// retired table until they drop it.
-    pub(crate) levels: Vec<Vec<Arc<SsTable>>>,
-    pub(crate) cache: Arc<BlockCache>,
     /// Retired tables still held by outstanding snapshots: their blocks
     /// are released only once the last snapshot drops the `Arc` (reaped at
     /// the next flush / close).
@@ -441,10 +362,6 @@ pub struct Db {
     pub(crate) flushed_seq: u64,
     /// Block decodes that failed once and succeeded on re-read.
     read_repairs: Cell<u64>,
-    /// `(table id, block index)` pairs that failed validation persistently;
-    /// their entries are unreachable until scrub repairs or drops them.
-    /// Mirrored in the manifest so reopen skips known-bad blocks.
-    pub(crate) quarantined: RefCell<HashSet<(u64, u32)>>,
     /// Reads that hit a transient fault and were retried.
     pub(crate) transient_retries: Cell<u64>,
     /// Tables left filterless at open because a block was unreadable or
@@ -453,9 +370,6 @@ pub struct Db {
     /// The active compaction policy (instantiated from
     /// [`DbOptions::compaction`] / the manifest's persisted policy).
     policy: Box<dyn CompactionPolicy>,
-    /// Cached `policy.overlapping_levels()`: true when levels ≥ 1 hold
-    /// overlapping age-ordered runs that reads must scan newest-first.
-    pub(crate) overlapping: bool,
     /// Filters restored from persisted images at open (one block read
     /// each — the O(tables) recovery fast path).
     filters_loaded: Cell<u64>,
@@ -548,16 +462,7 @@ impl Db {
         // tables also reference this disk) and runs the cross-shard
         // [`gc_orphans`] once every shard is open.
         if opts.gc_orphans {
-            let referenced: HashSet<u32> = levels
-                .iter()
-                .flatten()
-                .flat_map(|t| t.blocks.iter().copied().chain(t.filter_block))
-                .collect();
-            for id in 0..disk.block_slots() as u32 {
-                if disk.is_live(id) && !referenced.contains(&id) {
-                    disk.release(id)?;
-                }
-            }
+            release_unreferenced(&disk, levels.iter().flatten())?;
         }
         // Filter recovery, fastest path first:
         //
@@ -593,27 +498,19 @@ impl Db {
                 let mut entries: Vec<(Vec<u8>, Option<Vec<u8>>)> =
                     Vec::with_capacity(table.num_entries);
                 let mut table_degraded = false;
-                for (bi, &b) in table.blocks.iter().enumerate() {
+                for bi in 0..table.blocks.len() {
                     if version.quarantined.contains(&(table.id, bi as u32)) {
                         table_degraded = true;
                         continue;
                     }
-                    let mut backoff = Backoff::new(4);
-                    let blk = loop {
-                        match disk.read(b).and_then(|raw| SsTable::decode_block(&raw)) {
-                            Ok(blk) => break Some(blk),
-                            Err(e) if backoff.retry(&e) => continue,
-                            Err(e) => {
-                                if !e.is_transient() {
-                                    version.quarantined.insert((table.id, bi as u32));
-                                }
-                                break None;
+                    match read_block(&disk, table, bi, 4, None) {
+                        Ok(blk) => entries.extend(blk),
+                        Err(e) => {
+                            if !e.is_transient() {
+                                version.quarantined.insert((table.id, bi as u32));
                             }
+                            table_degraded = true;
                         }
-                    };
-                    match blk {
-                        Some(blk) => entries.extend(blk),
-                        None => table_degraded = true,
                     }
                 }
                 if table_degraded {
@@ -627,18 +524,23 @@ impl Db {
         }
         let (wal, records) = Wal::replay(&disk, version.flushed_seq, &wal_file_name(&opts.namespace))?;
         let mut db = Self {
-            cache: Arc::new(BlockCache::new(opts.cache_blocks)),
+            view: ReadView {
+                // Filters were attached above, while the tables were still
+                // uniquely owned; from here on they are immutable and shared.
+                levels: levels
+                    .into_iter()
+                    .map(|lvl| lvl.into_iter().map(Arc::new).collect())
+                    .collect(),
+                overlapping,
+                quarantine: Mutex::new(Arc::new(version.quarantined.iter().copied().collect())),
+                disk,
+                cache: Arc::new(BlockCache::new(opts.cache_blocks)),
+            },
             opts,
             mem: SkipList::new(),
             mem_values: Vec::new(),
             mem_bytes: 0,
             mem_tombstones: 0,
-            // Filters were attached above, while the tables were still
-            // uniquely owned; from here on they are immutable and shared.
-            levels: levels
-                .into_iter()
-                .map(|lvl| lvl.into_iter().map(Arc::new).collect())
-                .collect(),
             graveyard: Vec::new(),
             next_table_id: version.next_table_id,
             filter_stats: Cell::new(FilterStats::default()),
@@ -646,11 +548,9 @@ impl Db {
             manifest: RefCell::new(manifest),
             flushed_seq: version.flushed_seq,
             read_repairs: Cell::new(0),
-            quarantined: RefCell::new(version.quarantined.iter().copied().collect()),
             transient_retries: Cell::new(0),
             degraded_tables: Cell::new(degraded),
             policy,
-            overlapping,
             filters_loaded: Cell::new(loaded),
             filters_rebuilt: Cell::new(rebuilt),
             filter_images_corrupt: Cell::new(images_corrupt),
@@ -665,7 +565,6 @@ impl Db {
                 filter_images_corrupt: images_corrupt,
                 degraded_tables: degraded,
             },
-            disk,
         };
         let mut last_applied = version.flushed_seq;
         for r in &records {
@@ -681,7 +580,7 @@ impl Db {
             db.apply_write(&r.key, r.value.as_deref());
         }
         if !fresh {
-            db.manifest.borrow_mut().rotate(&db.disk, &version)?;
+            db.manifest.borrow_mut().rotate(&db.view.disk, &version)?;
         }
         db.check_invariants()?;
         Ok(db)
@@ -695,14 +594,14 @@ impl Db {
         // Any table still pinned by an outstanding snapshot keeps its
         // blocks; reopen's orphan GC reclaims them once nothing durable
         // references them.
-        self.disk.sync();
-        Ok(Arc::clone(&self.disk))
+        self.view.disk.sync();
+        Ok(Arc::clone(&self.view.disk))
     }
 
     /// A handle to the underlying disk (for crash simulation and
     /// reopening; the disk outlives the `Db`).
     pub fn disk_handle(&self) -> Arc<SimDisk> {
-        Arc::clone(&self.disk)
+        Arc::clone(&self.view.disk)
     }
 
     /// Retires a table that left the live version: evicts its cached
@@ -710,9 +609,9 @@ impl Db {
     /// holds the table, in which case the release is parked in the
     /// graveyard until the last reader drops the `Arc`.
     fn retire_table(&mut self, table: Arc<SsTable>) -> Result<()> {
-        self.cache.invalidate_table(table.id);
+        self.view.cache.invalidate_table(table.id);
         if Arc::strong_count(&table) == 1 {
-            table.release(&self.disk)?;
+            table.release(&self.view.disk)?;
         } else {
             self.graveyard.push(table);
         }
@@ -726,7 +625,7 @@ impl Db {
         let mut keep = Vec::new();
         for t in std::mem::take(&mut self.graveyard) {
             if Arc::strong_count(&t) == 1 {
-                t.release(&self.disk)?;
+                t.release(&self.view.disk)?;
             } else {
                 keep.push(t);
             }
@@ -780,12 +679,12 @@ impl Db {
         let over_slowdown = |l0: usize, mem: usize| {
             l0 >= bands.slowdown_l0_runs || mem >= bands.slowdown_memtable_bytes
         };
-        let (l0, mem) = (self.levels[0].len(), self.mem_bytes);
+        let (l0, mem) = (self.view.levels[0].len(), self.mem_bytes);
         if !over_slowdown(l0, mem) {
             return Ok(());
         }
         let _ = self.compact_step();
-        let (l0, mem) = (self.levels[0].len(), self.mem_bytes);
+        let (l0, mem) = (self.view.levels[0].len(), self.mem_bytes);
         if over_stop(l0, mem) {
             self.stall_rejections.set(self.stall_rejections.get() + 1);
             return Err(MemtreeError::Stalled { l0_runs: l0, memtable_bytes: mem });
@@ -803,7 +702,7 @@ impl Db {
         self.check_pressure()?;
         let seq = if self.opts.wal {
             self.wal
-                .append(&self.disk, key, value, self.opts.wal_group_commit)?
+                .append(&self.view.disk, key, value, self.opts.wal_group_commit)?
         } else {
             self.wal.bump_seq()
         };
@@ -830,9 +729,9 @@ impl Db {
     /// commit tail).
     pub fn sync(&mut self) -> Result<()> {
         if self.opts.wal {
-            self.wal.sync(&self.disk)?;
+            self.wal.sync(&self.view.disk)?;
         } else {
-            self.disk.sync();
+            self.view.disk.sync();
         }
         Ok(())
     }
@@ -851,13 +750,10 @@ impl Db {
         // The WAL tail mirrors the MemTable exactly, so the table covers
         // every record up to the last appended seq.
         let flush_seq = self.wal.appended_seq();
-        let mut entries = Vec::with_capacity(self.mem.len());
-        self.mem.for_each_sorted(&mut |k, slot| {
-            entries.push((k.to_vec(), self.mem_values[slot as usize].clone()));
-        });
+        let entries = self.memtable_entries();
         let table = SsTable::build(
             self.next_table_id,
-            &self.disk,
+            &self.view.disk,
             &entries,
             self.opts.block_size,
             &self.opts.filter,
@@ -874,14 +770,14 @@ impl Db {
             // `lsm.flush.filter_block` point exercises.
             fail_point!("lsm.flush.filter_block");
             fail_point!("lsm.flush.sync");
-            self.disk.sync();
+            self.view.disk.sync();
             self.manifest.borrow_mut().append(
-                &self.disk,
+                &self.view.disk,
                 &[Edit::AddTable(table.meta(0)), Edit::FlushSeq { seq: flush_seq }],
             )
         })();
         if let Err(e) = committed {
-            let _ = table.release(&self.disk);
+            let _ = table.release(&self.view.disk);
             return Err(e);
         }
         // Commit point: the table is durable and referenced. Install it
@@ -892,7 +788,7 @@ impl Db {
         self.next_table_id += 1;
         let flushed_entries = entries.len();
         let blocks_written = table.blocks.len();
-        self.levels[0].push(Arc::new(table));
+        self.view.levels[0].push(Arc::new(table));
         self.mem.clear();
         self.mem_values.clear();
         self.mem_bytes = 0;
@@ -900,9 +796,9 @@ impl Db {
         let mut wal_bytes = 0u64;
         if self.opts.wal {
             fail_point!("lsm.wal.reset");
-            wal_bytes = self.disk.file_len(self.wal.file()) as u64;
-            self.disk.truncate_file(self.wal.file(), 0);
-            self.disk.sync();
+            wal_bytes = self.view.disk.file_len(self.wal.file()) as u64;
+            self.view.disk.truncate_file(self.wal.file(), 0);
+            self.view.disk.sync();
             self.wal.note_reset(wal_bytes);
         }
         let stats = FlushStats {
@@ -926,7 +822,7 @@ impl Db {
     /// counts stand in for exact byte sizes.
     fn compaction_debt_bytes(&self) -> usize {
         let mut debt = 0usize;
-        for (level, tables) in self.levels.iter().enumerate() {
+        for (level, tables) in self.view.levels.iter().enumerate() {
             let limit = self.level_limit(level);
             if tables.len() > limit {
                 let excess = tables.len() - limit;
@@ -944,7 +840,7 @@ impl Db {
     /// Debt and overload counters (see [`DbStats`]).
     pub fn stats(&self) -> DbStats {
         DbStats {
-            l0_runs: self.levels[0].len(),
+            l0_runs: self.view.levels[0].len(),
             memtable_bytes: self.mem_bytes,
             compaction_debt_bytes: self.compaction_debt_bytes(),
             backpressure_rejections: self.backpressure_rejections.get(),
@@ -965,8 +861,8 @@ impl Db {
     /// [`DbOptions::compact_on_flush`] is off — debt shrinks one step at a
     /// time without ever holding a write hostage to a full compaction run.
     pub fn compact_step(&mut self) -> Result<bool> {
-        for level in 0..self.levels.len() {
-            if self.levels[level].len() > self.level_limit(level) {
+        for level in 0..self.view.levels.len() {
+            if self.view.levels[level].len() > self.level_limit(level) {
                 self.compact_at(level)?;
                 self.compact_steps.set(self.compact_steps.get() + 1);
                 return Ok(true);
@@ -986,8 +882,8 @@ impl Db {
         if self.compact_step()? {
             return Ok(true);
         }
-        if !self.levels[0].is_empty() && self.levels[0].len() >= self.opts.stall.slowdown_l0_runs
-        {
+        let l0 = self.view.levels[0].len();
+        if l0 > 0 && l0 >= self.opts.stall.slowdown_l0_runs {
             self.compact_at(0)?;
             self.compact_steps.set(self.compact_steps.get() + 1);
             return Ok(true);
@@ -1017,12 +913,12 @@ impl Db {
     fn compact_at(&mut self, level: usize) -> Result<()> {
         {
             fail_point!("lsm.compact.begin");
-            if self.levels.len() == level + 1 {
-                self.levels.push(Vec::new());
+            if self.view.levels.len() == level + 1 {
+                self.view.levels.push(Vec::new());
             }
-            let job = self.policy.pick(&self.levels, level);
+            let job = self.policy.pick(&self.view.levels, level);
             let (victim_ids, overlapped_ids) = (job.victim_ids, job.overlapped_ids);
-            let victims: Vec<&SsTable> = self.levels[level]
+            let victims: Vec<&SsTable> = self.view.levels[level]
                 .iter()
                 .filter(|t| victim_ids.contains(&t.id))
                 .map(|t| t.as_ref())
@@ -1034,7 +930,7 @@ impl Db {
             for t in victims.iter().rev() {
                 sources.push(self.read_all(t)?);
             }
-            for t in self.levels[level + 1]
+            for t in self.view.levels[level + 1]
                 .iter()
                 .filter(|t| overlapped_ids.contains(&t.id))
             {
@@ -1061,7 +957,7 @@ impl Db {
             // the output level.
             if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
                 let (min, max) = (first.0.clone(), last.0.clone());
-                let deeper = self.levels[level + 1..]
+                let deeper = self.view.levels[level + 1..]
                     .iter()
                     .flatten()
                     .any(|t| !overlapped_ids.contains(&t.id) && t.overlaps(&min, &max));
@@ -1087,7 +983,7 @@ impl Db {
                 for chunk in entries.chunks(per_table.max(1)) {
                     new_tables.push(SsTable::build(
                         next_id,
-                        &self.disk,
+                        &self.view.disk,
                         chunk,
                         self.opts.block_size,
                         &self.opts.filter,
@@ -1095,7 +991,7 @@ impl Db {
                     next_id += 1;
                 }
                 fail_point!("lsm.compact.sync");
-                self.disk.sync();
+                self.view.disk.sync();
                 let mut edits: Vec<Edit> = victim_ids
                     .iter()
                     .chain(overlapped_ids.iter())
@@ -1104,11 +1000,11 @@ impl Db {
                 for t in &new_tables {
                     edits.push(Edit::AddTable(t.meta(level + 1)));
                 }
-                self.manifest.borrow_mut().append(&self.disk, &edits)
+                self.manifest.borrow_mut().append(&self.view.disk, &edits)
             })();
             if let Err(e) = committed {
                 for t in &new_tables {
-                    let _ = t.release(&self.disk);
+                    let _ = t.release(&self.view.disk);
                 }
                 return Err(e);
             }
@@ -1116,12 +1012,12 @@ impl Db {
             // Quarantine entries die with the tables that carried them
             // (the manifest's RemoveTable does the same purge).
             self.next_table_id = next_id;
-            self.quarantined
-                .borrow_mut()
-                .retain(|&(t, _)| !victim_ids.contains(&t) && !overlapped_ids.contains(&t));
+            self.view.edit_quarantine(|q| {
+                q.retain(|&(t, _)| !victim_ids.contains(&t) && !overlapped_ids.contains(&t))
+            });
             let mut dropped: Vec<Arc<SsTable>> = Vec::new();
             for lvl in [level, level + 1] {
-                let keep: Vec<Arc<SsTable>> = std::mem::take(&mut self.levels[lvl])
+                let keep: Vec<Arc<SsTable>> = std::mem::take(&mut self.view.levels[lvl])
                     .into_iter()
                     .filter_map(|t| {
                         if victim_ids.contains(&t.id) || overlapped_ids.contains(&t.id) {
@@ -1132,14 +1028,14 @@ impl Db {
                         }
                     })
                     .collect();
-                self.levels[lvl] = keep;
+                self.view.levels[lvl] = keep;
             }
             for t in dropped {
                 self.retire_table(t)?;
             }
-            let next = &mut self.levels[level + 1];
+            let next = &mut self.view.levels[level + 1];
             next.extend(new_tables.into_iter().map(Arc::new));
-            if !self.overlapping {
+            if !self.view.overlapping {
                 next.sort_by(|a, b| a.min_key.cmp(&b.min_key));
             }
         }
@@ -1159,62 +1055,23 @@ impl Db {
         // propagate errors — a *fresh* failure must not silently drop
         // entries.
         let mut out = Vec::with_capacity(table.num_entries);
+        let retries = Some(&self.transient_retries);
         for b in 0..table.blocks.len() {
-            if self.quarantined.borrow().contains(&(table.id, b as u32)) {
-                if let Ok(d) = self.read_decoded_retrying(table, b, 4) {
-                    self.quarantined.borrow_mut().remove(&(table.id, b as u32));
+            if self.view.is_quarantined(table.id, b) {
+                if let Ok(d) = read_block(&self.view.disk, table, b, 4, retries) {
+                    self.view.edit_quarantine(|q| q.remove(&(table.id, b as u32)));
                     self.read_repairs.set(self.read_repairs.get() + 1);
-                    out.extend(d.iter().cloned());
+                    out.extend(d);
                 }
                 continue;
             }
-            out.extend(self.fetch_block_strict(table, b)?.iter().cloned());
+            out.extend(self.view.fetch(table, b, 4, retries)?.iter().cloned());
         }
         Ok(out)
     }
 
-    fn try_fetch(&self, table: &SsTable, block: usize) -> Result<Arc<DecodedBlock>> {
-        let raw = self.disk.read(table.blocks[block])?;
-        Ok(Arc::new(SsTable::decode_block(&raw)?))
-    }
-
-    /// One decoded-block read with bounded retry of *transient* faults
-    /// only; persistent errors (corruption, dead block) return on the
-    /// first attempt.
-    fn read_decoded_retrying(
-        &self,
-        table: &SsTable,
-        block: usize,
-        max_attempts: u32,
-    ) -> Result<Arc<DecodedBlock>> {
-        let mut backoff = Backoff::new(max_attempts);
-        loop {
-            match self.try_fetch(table, block) {
-                Ok(d) => return Ok(d),
-                Err(e) => {
-                    if backoff.retry(&e) {
-                        self.transient_retries.set(self.transient_retries.get() + 1);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Block fetch for the write/recovery paths: transients are retried,
-    /// everything else propagates.
-    fn fetch_block_strict(&self, table: &SsTable, block: usize) -> Result<Arc<DecodedBlock>> {
-        if let Some(hit) = self.cache.get(table.id, block) {
-            return Ok(hit);
-        }
-        let decoded = self.read_decoded_retrying(table, block, 4)?;
-        self.cache.insert(table.id, block, Arc::clone(&decoded));
-        Ok(decoded)
-    }
-
-    /// Block fetch for the query paths, through the block cache, with the
-    /// three-way fault policy:
+    /// The `Db`'s policy over the shared fetch ladder
+    /// ([`ReadView::fetch`]) for the query paths:
     ///
     /// * **transient** read errors are retried under [`Backoff`] until
     ///   they heal — and are *never* quarantined (the on-disk data is
@@ -1229,50 +1086,33 @@ impl Db {
     ///   [`Db::io_stats`] record every step instead of the process
     ///   panicking.
     fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<DecodedBlock> {
-        if let Some(hit) = self.cache.get(table.id, block) {
-            return hit;
-        }
-        if self.quarantined.borrow().contains(&(table.id, block as u32)) {
-            return Arc::new(Vec::new());
-        }
-        let decoded = match self.read_decoded_retrying(table, block, 8) {
+        let retries = Some(&self.transient_retries);
+        match self.view.fetch(table, block, READ_ATTEMPTS, retries) {
             Ok(d) => d,
-            Err(e) if e.is_transient() => return Arc::new(Vec::new()),
-            Err(_) => match self.read_decoded_retrying(table, block, 8) {
+            Err(e) if e.is_transient() => Arc::default(),
+            Err(_) => match read_block(&self.view.disk, table, block, READ_ATTEMPTS, retries) {
                 Ok(d) => {
+                    let d = Arc::new(d);
                     self.read_repairs.set(self.read_repairs.get() + 1);
+                    self.view.cache.insert(table.id, block, Arc::clone(&d));
                     d
                 }
                 Err(_) => {
-                    self.quarantined
-                        .borrow_mut()
-                        .insert((table.id, block as u32));
+                    self.view.edit_quarantine(|q| q.insert((table.id, block as u32)));
                     // Best-effort persistence: if the manifest append
                     // itself fails the quarantine still holds in memory
                     // and reopen rediscovers the bad block.
                     let _ = self.manifest.borrow_mut().append(
-                        &self.disk,
+                        &self.view.disk,
                         &[Edit::Quarantine {
                             table: table.id,
                             block: block as u32,
                         }],
                     );
-                    return Arc::new(Vec::new());
+                    Arc::default()
                 }
             },
-        };
-        self.cache.insert(table.id, block, Arc::clone(&decoded));
-        decoded
-    }
-
-    /// `None` = key absent from this table; `Some(None)` = tombstoned
-    /// here; `Some(Some(v))` = live value.
-    fn get_in_table(&self, table: &SsTable, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        let b = table.candidate_block(key);
-        let blk = self.fetch_block(table, b);
-        blk.binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| blk[i].1.clone())
+        }
     }
 
     /// Per-key filter check with [`FilterStats`] accounting; filterless
@@ -1295,36 +1135,9 @@ impl Db {
         if let Some(slot) = self.mem.get(key) {
             return self.mem_values[slot as usize].clone();
         }
-        // Level 0: newest first, overlapping ranges.
-        for table in self.levels[0].iter().rev() {
-            if table.covers(key) && self.probe_filter(table, key) {
-                if let Some(v) = self.get_in_table(table, key) {
-                    return v;
-                }
-            }
-        }
-        for level in &self.levels[1..] {
-            if self.overlapping {
-                // Tiered runs overlap: newest-first scan, like L0.
-                for table in level.iter().rev() {
-                    if table.covers(key) && self.probe_filter(table, key) {
-                        if let Some(v) = self.get_in_table(table, key) {
-                            return v;
-                        }
-                    }
-                }
-            } else {
-                let idx = level.partition_point(|t| t.max_key.as_slice() < key);
-                if let Some(table) = level.get(idx) {
-                    if table.covers(key) && self.probe_filter(table, key) {
-                        if let Some(v) = self.get_in_table(table, key) {
-                            return v;
-                        }
-                    }
-                }
-            }
-        }
-        None
+        self.view
+            .get(key, |t| self.probe_filter(t, key), |t, b| self.fetch_block(t, b))
+            .flatten()
     }
 
     /// Resolves the not-yet-answered candidate keys `cand` (indexes into
@@ -1375,8 +1188,8 @@ impl Db {
                     blk
                 }
             };
-            if let Ok(pos) = blk.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                out[i as usize] = Some(blk[pos].1.clone());
+            if let Some(v) = find_in_block(&blk, key) {
+                out[i as usize] = Some(v);
             }
         }
     }
@@ -1402,31 +1215,14 @@ impl Db {
                 unresolved.push(i as u32);
             }
         }
-        // Level 0: newest first; tables overlap, so every unresolved key
-        // covered by the table is a candidate.
-        for table in self.levels[0].iter().rev() {
+        for lvl in 0..self.view.levels.len() {
             if unresolved.is_empty() {
                 break;
             }
-            let cand: Vec<u32> = unresolved
-                .iter()
-                .copied()
-                .filter(|&i| table.covers(keys[i as usize]))
-                .collect();
-            if cand.is_empty() {
-                continue;
-            }
-            self.multi_get_in_table(table, keys, &cand, &mut out);
-            unresolved.retain(|&i| out[i as usize].is_none());
-        }
-        // Levels >= 1. Leveled levels are disjoint: group unresolved keys
-        // by the one table whose range can hold them, then batch once per
-        // table. Tiered runs overlap: newest-first table walk, like L0.
-        for level in &self.levels[1..] {
-            if unresolved.is_empty() {
-                break;
-            }
-            if self.overlapping {
+            let level = &self.view.levels[lvl];
+            if self.view.overlaps(lvl) {
+                // Overlapping runs, newest first: every unresolved key a
+                // run covers is a candidate.
                 for table in level.iter().rev() {
                     if unresolved.is_empty() {
                         break;
@@ -1444,27 +1240,21 @@ impl Db {
                 }
                 continue;
             }
+            // A leveled level is disjoint: group unresolved keys by the one
+            // table whose range can hold them, then batch once per table.
             let mut grouped: Vec<(u32, u32)> = Vec::new(); // (table idx, key idx)
             for &i in &unresolved {
                 let key = keys[i as usize];
-                let idx = level.partition_point(|t| t.max_key.as_slice() < key);
-                if let Some(table) = level.get(idx) {
-                    if table.covers(key) {
+                if let Some(idx) = self.view.positions(lvl, key, true).next() {
+                    if level[idx].covers(key) {
                         grouped.push((idx as u32, i));
                     }
                 }
             }
             grouped.sort_unstable();
-            let mut g = 0usize;
-            while g < grouped.len() {
-                let idx = grouped[g].0;
-                let mut e = g + 1;
-                while e < grouped.len() && grouped[e].0 == idx {
-                    e += 1;
-                }
-                let cand: Vec<u32> = grouped[g..e].iter().map(|&(_, i)| i).collect();
-                self.multi_get_in_table(&level[idx as usize], keys, &cand, &mut out);
-                g = e;
+            for group in grouped.chunk_by(|a, b| a.0 == b.0) {
+                let cand: Vec<u32> = group.iter().map(|&(_, i)| i).collect();
+                self.multi_get_in_table(&level[group[0].0 as usize], keys, &cand, &mut out);
             }
             unresolved.retain(|&i| out[i as usize].is_none());
         }
@@ -1511,16 +1301,8 @@ impl Db {
 
     /// Exact smallest key `>= lk` within one table (1–2 block reads).
     fn table_lower_bound(&self, table: &SsTable, lk: &[u8]) -> Option<Vec<u8>> {
-        let mut b = table.candidate_block(lk);
-        while b < table.blocks.len() {
-            let blk = self.fetch_block(table, b);
-            let i = blk.partition_point(|(k, _)| k.as_slice() < lk);
-            if i < blk.len() {
-                return Some(blk[i].0.clone());
-            }
-            b += 1;
-        }
-        None
+        let (_, blk, pos) = seek_in_table(table, lk, |b| self.fetch_block(table, b));
+        blk.get(pos).map(|(k, _)| k.clone())
     }
 
     /// Seek (Figure 4.3): smallest key `>= lk`, bounded by `hk` when given.
@@ -1579,7 +1361,7 @@ impl Db {
     /// Cheap gate for the seek resolution loop: any tombstone anywhere?
     fn any_tombstones(&self) -> bool {
         self.mem_tombstones > 0
-            || self.levels.iter().flatten().any(|t| t.num_tombstones > 0)
+            || self.view.levels.iter().flatten().any(|t| t.num_tombstones > 0)
     }
 
     /// The structural part of [`Db::seek`]: smallest *stored* key `>= lk`
@@ -1596,121 +1378,76 @@ impl Db {
     /// it effective.
     fn seek_candidate(&self, lk: &[u8], hk: Option<&[u8]>, memo: &mut SeekMemo) -> SeekResult {
         // Memtable candidate is exact and free.
-        let mut best_exact: Option<Vec<u8>> = None;
+        let mut best: Option<Vec<u8>> = None;
         self.mem.range_from(lk, &mut |k, _| {
-            best_exact = Some(k.to_vec());
+            best = Some(k.to_vec());
             false
         });
+        // A table's exact lower bound (block fetch), memoized.
+        let resolve = |table: &SsTable, memo: &mut SeekMemo, best: &mut Option<Vec<u8>>| {
+            let k = self.table_lower_bound(table, lk);
+            memo.insert(table.id, (lk.to_vec(), k.clone()));
+            keep_min(best, k);
+        };
         // Candidates per table: exact (block fetch) without SuRF, prefix
-        // (in-memory moveToNext) with SuRF.
-        // (prefix, table_index) pending resolution.
-        let mut pending: Vec<(Vec<u8>, usize, usize)> = Vec::new(); // (prefix, level, idx)
-        // A table can serve the seek only if its range intersects [lk, hk):
-        // entirely-below tables have no key >= lk, and entirely-at-or-above
-        // tables (min_key >= hk) have no key < hk — without the second
-        // prune, filterless tables above hk paid a block fetch in
-        // `table_lower_bound` just to produce an out-of-bound candidate.
-        let consider = |t: &SsTable| {
-            t.max_key.as_slice() >= lk && hk.is_none_or(|hk| t.min_key.as_slice() < hk)
-        };
-        let visit = |level: usize,
-                     idx: usize,
-                     table: &SsTable,
-                     pending: &mut Vec<(Vec<u8>, usize, usize)>,
-                     best_exact: &mut Option<Vec<u8>>,
-                     memo: &mut SeekMemo| {
-            if !consider(table) {
-                return;
-            }
-            // Memo hit: an exact lower bound resolved at some lk₀ <= lk
-            // answers without touching the filter or a block.
-            if let Some((lk0, cached)) = memo.get(&table.id) {
-                if lk >= lk0.as_slice() {
-                    match cached {
-                        None => return, // no key >= lk₀ ⇒ none >= lk
-                        Some(c) if c.as_slice() >= lk => {
-                            if best_exact.as_deref().is_none_or(|b| c.as_slice() < b) {
-                                *best_exact = Some(c.clone());
+        // (in-memory moveToNext) with SuRF — those wait in `pending` as
+        // (prefix, level, idx). Any overlapping run may hold the lower
+        // bound; a leveled level's is in its first table reaching lk.
+        let mut pending: Vec<(Vec<u8>, usize, usize)> = Vec::new();
+        for lvl in 0..self.view.levels.len() {
+            for idx in self.view.positions(lvl, lk, true) {
+                let table = &self.view.levels[lvl][idx];
+                // A table can serve the seek only if its range meets
+                // [lk, hk): without the upper prune, filterless tables
+                // above hk paid a block fetch in `table_lower_bound` just
+                // to produce an out-of-bound candidate.
+                if !table.meets(lk, hk) {
+                    continue;
+                }
+                // Memo hit: an exact lower bound resolved at some lk₀ <= lk
+                // answers without touching the filter or a block.
+                if let Some((lk0, cached)) = memo.get(&table.id) {
+                    if lk >= lk0.as_slice() {
+                        match cached {
+                            None => continue, // no key >= lk₀ ⇒ none >= lk
+                            Some(c) if c.as_slice() >= lk => {
+                                keep_min(&mut best, Some(c.clone()));
+                                continue;
                             }
-                            return;
+                            Some(_) => {} // candidate fell below lk: re-resolve
                         }
-                        Some(_) => {} // candidate fell below lk: re-resolve
                     }
                 }
-            }
-            match table.surf() {
-                Some(surf) => {
-                    let (it, _fp) = surf.move_to_next(lk);
-                    if it.valid() {
-                        let prefix = it.key().to_vec();
+                match table.surf() {
+                    Some(surf) => {
+                        let (it, _fp) = surf.move_to_next(lk);
                         // Prune candidates definitely past hk.
-                        if let Some(hk) = hk {
-                            if prefix.as_slice() >= hk {
-                                return;
-                            }
+                        if it.valid() && hk.is_none_or(|hk| it.key() < hk) {
+                            pending.push((it.key().to_vec(), lvl, idx));
                         }
-                        pending.push((prefix, level, idx));
                     }
-                }
-                None => {
                     // No usable range filter: fetch the candidate block.
-                    let k = self.table_lower_bound(table, lk);
-                    memo.insert(table.id, (lk.to_vec(), k.clone()));
-                    if let Some(k) = k {
-                        if best_exact.as_deref().is_none_or(|b| k.as_slice() < b) {
-                            *best_exact = Some(k);
-                        }
-                    }
-                }
-            }
-        };
-        for (idx, table) in self.levels[0].iter().enumerate() {
-            visit(0, idx, table, &mut pending, &mut best_exact, memo);
-        }
-        for (lvl, level) in self.levels.iter().enumerate().skip(1) {
-            if self.overlapping {
-                // Tiered runs overlap: any run may hold the lower bound.
-                for (idx, table) in level.iter().enumerate() {
-                    visit(lvl, idx, table, &mut pending, &mut best_exact, memo);
-                }
-            } else {
-                let idx = level.partition_point(|t| t.max_key.as_slice() < lk);
-                if let Some(table) = level.get(idx) {
-                    visit(lvl, idx, table, &mut pending, &mut best_exact, memo);
+                    None => resolve(table, memo, &mut best),
                 }
             }
         }
         // Resolve SuRF candidates smallest-prefix-first until the best
         // exact key cannot be beaten.
         pending.sort();
-        for (prefix, level, idx) in pending {
-            if let Some(best) = &best_exact {
+        for (prefix, lvl, idx) in pending {
+            if let Some(b) = &best {
                 // A prefix >= best exact key cannot yield a smaller key...
                 // unless it is a prefix of `best` (its extension could be
                 // smaller), so only prune on strictly-greater non-prefixes.
-                if prefix.as_slice() >= best.as_slice() && !best.starts_with(&prefix) {
+                if prefix.as_slice() >= b.as_slice() && !b.starts_with(&prefix) {
                     break;
                 }
             }
-            let table = &self.levels[level][idx];
-            let k = self.table_lower_bound(table, lk);
-            memo.insert(table.id, (lk.to_vec(), k.clone()));
-            if let Some(k) = k {
-                if best_exact.as_deref().is_none_or(|b| k.as_slice() < b) {
-                    best_exact = Some(k);
-                }
-            }
+            resolve(&self.view.levels[lvl][idx], memo, &mut best);
         }
-        match best_exact {
-            Some(k) => {
-                if let Some(hk) = hk {
-                    if k.as_slice() >= hk {
-                        return SeekResult::NotFound;
-                    }
-                }
-                SeekResult::Found { key: k }
-            }
-            None => SeekResult::NotFound,
+        match best {
+            Some(key) if hk.is_none_or(|hk| key.as_slice() < hk) => SeekResult::Found { key },
+            _ => SeekResult::NotFound,
         }
     }
 
@@ -1736,7 +1473,7 @@ impl Db {
                 false
             }
         });
-        for level in &self.levels {
+        for level in &self.view.levels {
             for table in level {
                 if !table.overlaps(lk, hk) {
                     continue;
@@ -1768,15 +1505,15 @@ impl Db {
     pub fn io_stats(&self) -> IoStats {
         IoStats {
             read_repairs: self.read_repairs.get(),
-            quarantined_blocks: self.quarantined.borrow().len() as u64,
+            quarantined_blocks: self.view.quarantined().len() as u64,
             transient_retries: self.transient_retries.get(),
-            ..self.disk.stats()
+            ..self.view.disk.stats()
         }
     }
 
     /// Clears I/O counters (between benchmark phases).
     pub fn reset_io_stats(&self) {
-        self.disk.reset_stats();
+        self.view.disk.reset_stats();
         self.read_repairs.set(0);
         self.transient_retries.set(0);
     }
@@ -1816,6 +1553,7 @@ impl Db {
     pub(crate) fn current_version(&self) -> Version {
         Version {
             levels: self
+                .view
                 .levels
                 .iter()
                 .enumerate()
@@ -1823,28 +1561,23 @@ impl Db {
                 .collect(),
             flushed_seq: self.flushed_seq,
             next_table_id: self.next_table_id,
-            quarantined: self.quarantined.borrow().iter().copied().collect(),
+            quarantined: self.view.quarantined().iter().copied().collect(),
             policy: Some(self.opts.compaction),
         }
-    }
-
-    /// Cache lookup without any disk fallback (scrub repairs bad blocks
-    /// from still-cached copies when it can).
-    pub(crate) fn cached_block(&self, table: u64, block: usize) -> Option<Arc<DecodedBlock>> {
-        self.cache.get(table, block)
     }
 
     pub(crate) fn memtable_is_empty(&self) -> bool {
         self.mem.is_empty()
     }
 
-    /// Appends the MemTable's entries to `out` in key order, tombstones
-    /// included (the snapshot path's freeze step).
-    pub(crate) fn memtable_entries(&self, out: &mut Vec<(Vec<u8>, Option<Vec<u8>>)>) {
-        out.reserve(self.mem.len());
+    /// The MemTable's entries in key order, tombstones included (what a
+    /// flush writes and a snapshot freezes).
+    pub(crate) fn memtable_entries(&self) -> DecodedBlock {
+        let mut out = Vec::with_capacity(self.mem.len());
         self.mem.for_each_sorted(&mut |k, slot| {
             out.push((k.to_vec(), self.mem_values[slot as usize].clone()));
         });
+        out
     }
 
     /// `[min, max]` of the keys currently buffered in the MemTable
@@ -1864,9 +1597,9 @@ impl Db {
     /// Truncates the WAL to empty and resets its high-water bookkeeping
     /// (scrub's repair for a damaged log that covers no unflushed data).
     pub(crate) fn discard_wal(&mut self) {
-        let bytes = self.disk.file_len(self.wal.file()) as u64;
-        self.disk.truncate_file(self.wal.file(), 0);
-        self.disk.sync();
+        let bytes = self.view.disk.file_len(self.wal.file()) as u64;
+        self.view.disk.truncate_file(self.wal.file(), 0);
+        self.view.disk.sync();
         self.wal.note_reset(bytes);
     }
 
@@ -1915,18 +1648,18 @@ impl Db {
 
     /// (cache hits, cache misses).
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        self.view.cache.stats()
     }
 
     /// Total SSTables per level (diagnostics).
     pub fn level_sizes(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.len()).collect()
+        self.view.levels.iter().map(|l| l.len()).collect()
     }
 
     /// Device ids of every live persisted filter-image block (diagnostics;
     /// the corruption oracles bit-rot these to prove safe degradation).
     pub fn filter_block_ids(&self) -> Vec<u32> {
-        self.levels.iter().flatten().filter_map(|t| t.filter_block).collect()
+        self.view.levels.iter().flatten().filter_map(|t| t.filter_block).collect()
     }
 
     /// Structural invariants the recovery oracle re-checks after every
@@ -1939,7 +1672,7 @@ impl Db {
                 detail,
             ))
         };
-        for (lvl, level) in self.levels.iter().enumerate() {
+        for (lvl, level) in self.view.levels.iter().enumerate() {
             for t in level {
                 if t.fences.len() != t.blocks.len() {
                     return broken(format!("table {}: fences != blocks", t.id));
@@ -1950,11 +1683,11 @@ impl Db {
                 if t.fences.windows(2).any(|w| w[0] > w[1]) {
                     return broken(format!("table {}: fences unsorted", t.id));
                 }
-                if t.blocks.iter().any(|&b| !self.disk.is_live(b)) {
+                if t.blocks.iter().any(|&b| !self.view.disk.is_live(b)) {
                     return broken(format!("table {}: references freed block", t.id));
                 }
             }
-            if lvl >= 1 && !self.overlapping {
+            if lvl >= 1 && !self.view.overlapping {
                 for w in level.windows(2) {
                     if w[0].max_key >= w[1].min_key {
                         return broken(format!(
@@ -1970,7 +1703,7 @@ impl Db {
 
     /// In-memory footprint of filters + fence indexes.
     pub fn index_filter_mem(&self) -> usize {
-        self.levels
+        self.view.levels
             .iter()
             .flatten()
             .map(|t| t.mem_usage())
@@ -1979,7 +1712,7 @@ impl Db {
 
     /// Total entries across all tables (duplicates across levels counted).
     pub fn table_entries(&self) -> usize {
-        self.levels.iter().flatten().map(|t| t.len()).sum()
+        self.view.levels.iter().flatten().map(|t| t.len()).sum()
     }
 }
 
@@ -1989,9 +1722,17 @@ impl Db {
 /// free its siblings' blocks) and runs this once, afterwards. Returns the
 /// number of blocks freed.
 pub fn gc_orphans(disk: &SimDisk, dbs: &[&Db]) -> Result<u64> {
-    let referenced: HashSet<u32> = dbs
-        .iter()
-        .flat_map(|db| db.levels.iter().flatten())
+    let tables = dbs.iter().flat_map(|db| db.view.levels.iter().flatten());
+    release_unreferenced(disk, tables.map(|t| &**t))
+}
+
+/// Releases every live block of `disk` that no table in `tables`
+/// references (data and filter-image blocks alike); returns how many.
+fn release_unreferenced<'a>(
+    disk: &SimDisk,
+    tables: impl Iterator<Item = &'a SsTable>,
+) -> Result<u64> {
+    let referenced: HashSet<u32> = tables
         .flat_map(|t| t.blocks.iter().copied().chain(t.filter_block))
         .collect();
     let mut freed = 0u64;
@@ -2625,6 +2366,13 @@ mod tests {
         assert_eq!(s.quarantined_blocks, 1);
         // After disarming, *other* blocks still serve.
         assert_eq!(db.get(&encode_u64(1999)), Some(b"payload".to_vec()));
+        // A snapshot taken after the quarantine shares it: every probed
+        // key, inside the quarantined block or not, answers as `Db::get`.
+        let snap = db.snapshot();
+        for i in (0..2000u64).step_by(7).chain([1, 1999, 5000]) {
+            let k = encode_u64(i);
+            assert_eq!(snap.get(&k), db.get(&k), "snapshot diverges from Db at key {i}");
+        }
     }
 
     #[test]
@@ -2746,8 +2494,8 @@ mod tests {
         for i in 0..2000u64 {
             db.put(&encode_u64(i), &[0x5a; 64]).unwrap();
         }
-        let used = db.disk.used_bytes();
-        db.disk.set_capacity_bytes(Some(used + 512));
+        let used = db.view.disk.used_bytes();
+        db.view.disk.set_capacity_bytes(Some(used + 512));
         let err = db.flush().unwrap_err();
         assert!(
             matches!(err, memtree_common::error::MemtreeError::Enospc { .. }),
@@ -2755,11 +2503,11 @@ mod tests {
         );
         // The failed flush left no partial state: usage is back where it
         // was and every write is still served (from the memtable).
-        assert_eq!(db.disk.used_bytes(), used, "failed flush leaked blocks");
+        assert_eq!(db.view.disk.used_bytes(), used, "failed flush leaked blocks");
         assert_eq!(db.get(&encode_u64(7)), Some(vec![0x5a; 64]));
         assert_eq!(db.table_entries(), 0);
         // Space frees up: the retried flush succeeds and data lands.
-        db.disk.set_capacity_bytes(None);
+        db.view.disk.set_capacity_bytes(None);
         db.flush().unwrap().expect("retried flush flushes");
         assert!(db.table_entries() > 0);
         assert_eq!(db.get(&encode_u64(1999)), Some(vec![0x5a; 64]));
@@ -2896,7 +2644,7 @@ mod policy_tests {
             }
         }
         db.flush().unwrap();
-        assert!(db.overlapping, "tiered config must set overlapping reads");
+        assert!(db.view.overlapping, "tiered config must set overlapping reads");
         assert!(
             db.level_sizes().iter().skip(1).any(|&s| s > 1),
             "workload never produced multiple runs per level: {:?}",
@@ -2950,7 +2698,7 @@ mod policy_tests {
             CompactionConfig::Tiered { tiers_per_level: 3 },
             "manifest policy must override the options"
         );
-        assert!(db.overlapping);
+        assert!(db.view.overlapping);
         for i in 0..2000u64 {
             db.put(&encode_u64(i), b"round-2").unwrap();
         }
@@ -2978,7 +2726,7 @@ mod policy_tests {
             db.put(&encode_u64(i), b"payload").unwrap();
         }
         db.flush().unwrap();
-        let fb = db.levels[0][0].filter_block.expect("flushed table has a filter image");
+        let fb = db.view.levels[0][0].filter_block.expect("flushed table has a filter image");
         let disk = db.close().unwrap();
         let _ = disk.bitrot_block(fb, 99);
         let db = Db::open(disk, opts).unwrap();
@@ -3019,7 +2767,7 @@ mod policy_tests {
         }
         db.flush().unwrap();
         let tables: u64 = db.level_sizes().iter().map(|&s| s as u64).sum();
-        let data_blocks: u64 = db.levels.iter().flatten().map(|t| t.blocks.len() as u64).sum();
+        let data_blocks: u64 = db.view.levels.iter().flatten().map(|t| t.blocks.len() as u64).sum();
         assert!(data_blocks > 4 * tables, "workload too small to distinguish");
         let disk = db.close().unwrap();
         disk.reset_stats();

@@ -31,6 +31,7 @@ mod manifest;
 mod scrub;
 mod snapshot;
 mod sstable;
+mod view;
 mod wal;
 
 pub use compaction::CompactionConfig;

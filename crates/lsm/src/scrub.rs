@@ -157,19 +157,19 @@ impl Db {
             ..Default::default()
         };
         report.wal = self.scrub_wal()?;
-        for lvl in 0..self.levels.len() {
+        for lvl in 0..self.view.levels.len() {
             let mut pos = 0;
-            while pos < self.levels[lvl].len() {
+            while pos < self.view.levels[lvl].len() {
                 let removed = self.scrub_table(lvl, pos, &mut report)?;
                 if !removed {
                     pos += 1;
                 }
             }
-            if lvl >= 1 && !self.overlapping {
-                self.levels[lvl].sort_by(|a, b| a.min_key.cmp(&b.min_key));
+            if lvl >= 1 && !self.view.overlapping {
+                self.view.levels[lvl].sort_by(|a, b| a.min_key.cmp(&b.min_key));
             }
         }
-        self.disk.sync();
+        self.view.disk.sync();
         self.check_invariants()?;
         Ok(report)
     }
@@ -177,11 +177,11 @@ impl Db {
     fn scrub_manifest(&mut self) -> Result<FileScrubOutcome> {
         let current = self.manifest.borrow().current_file();
         let healthy = (|| {
-            let name = decode_single(&self.disk.read_file(&current), "manifest-current").ok()?;
+            let name = decode_single(&self.view.disk.read_file(&current), "manifest-current").ok()?;
             if name != self.manifest.borrow().file().as_bytes() {
                 return None;
             }
-            let log_buf = self.disk.read_file(self.manifest.borrow().file());
+            let log_buf = self.view.disk.read_file(self.manifest.borrow().file());
             let log = decode_frames(&log_buf, "manifest").ok()?;
             (!log.torn).then_some(())
         })()
@@ -190,12 +190,12 @@ impl Db {
             return Ok(FileScrubOutcome::Clean);
         }
         let version = self.current_version();
-        self.manifest.borrow_mut().rotate(&self.disk, &version)?;
+        self.manifest.borrow_mut().rotate(&self.view.disk, &version)?;
         Ok(FileScrubOutcome::Repaired)
     }
 
     fn scrub_wal(&mut self) -> Result<FileScrubOutcome> {
-        let raw = self.disk.read_file(&self.wal_file());
+        let raw = self.view.disk.read_file(&self.wal_file());
         if raw.is_empty() || decode_frames(&raw, "wal").map(|log| !log.torn).unwrap_or(false) {
             return Ok(FileScrubOutcome::Clean);
         }
@@ -211,18 +211,18 @@ impl Db {
     /// from `levels[lvl]` entirely (so the caller must not advance `pos`).
     fn scrub_table(&mut self, lvl: usize, pos: usize, report: &mut ScrubReport) -> Result<bool> {
         let (old_id, blocks, fences, max_key, old_had_filter) = {
-            let t = &self.levels[lvl][pos];
+            let t = &self.view.levels[lvl][pos];
             (t.id, t.blocks.clone(), t.fences.clone(), t.max_key.clone(), t.has_filter())
         };
         let mut states: Vec<BlockState> = Vec::with_capacity(blocks.len());
         let mut fresh_blocks: Vec<u32> = Vec::new(); // written by repairs, unpublished
         let mut changed = false;
         for (bi, &block_id) in blocks.iter().enumerate() {
-            let was_quarantined = self.quarantined.borrow().contains(&(old_id, bi as u32));
+            let was_quarantined = self.view.is_quarantined(old_id, bi);
             let mut backoff = Backoff::new(8);
             let mut retried = false;
             let read = loop {
-                match self.disk.read(block_id) {
+                match self.view.disk.read(block_id) {
                     Ok(raw) => break Ok(raw),
                     Err(e) => {
                         if backoff.retry(&e) {
@@ -248,7 +248,7 @@ impl Db {
                 // scrub later resumes safely.
                 Err(e) if e.is_transient() => {
                     for &b in &fresh_blocks {
-                        let _ = self.disk.release(b);
+                        let _ = self.view.disk.release(b);
                     }
                     return Err(e);
                 }
@@ -266,8 +266,8 @@ impl Db {
                 Err(_) => {
                     // Persistent damage. Best repair first: a clean copy
                     // still in the block cache.
-                    if let Some(cached) = self.cached_block(old_id, bi) {
-                        if let Ok(nb) = self.disk.write(SsTable::encode_block(&cached)) {
+                    if let Some(cached) = self.view.cache.get(old_id, bi) {
+                        if let Ok(nb) = self.view.disk.write(SsTable::encode_block(&cached)) {
                             fresh_blocks.push(nb);
                             report.repaired_blocks += 1;
                             changed = true;
@@ -321,7 +321,7 @@ impl Db {
                 // A snapshot may still hold this table's `Arc`; mutating a
                 // shared table is unsound, so skip the rebuild in that case
                 // (filter absence is always safe — only a perf loss).
-                if let Some(t) = Arc::get_mut(&mut self.levels[lvl][pos]) {
+                if let Some(t) = Arc::get_mut(&mut self.view.levels[lvl][pos]) {
                     t.attach_filter(&keys, &filter);
                     report.filters_rebuilt += 1;
                 }
@@ -343,9 +343,9 @@ impl Db {
         mut fresh_blocks: Vec<u32>,
         report: &mut ScrubReport,
     ) -> Result<bool> {
-        let old_fences = self.levels[lvl][pos].fences.clone();
-        let old_max_key = self.levels[lvl][pos].max_key.clone();
-        let old_filter_block = self.levels[lvl][pos].filter_block;
+        let old_fences = self.view.levels[lvl][pos].fences.clone();
+        let old_max_key = self.view.levels[lvl][pos].max_key.clone();
+        let old_filter_block = self.view.levels[lvl][pos].filter_block;
         let mut kept_blocks: Vec<u32> = Vec::new();
         let mut kept_fences: Vec<Vec<u8>> = Vec::new();
         let mut kept_data: Vec<Option<&DecodedBlock>> = Vec::new();
@@ -377,16 +377,16 @@ impl Db {
         })();
         if let Err(e) = abort {
             for &b in &fresh_blocks {
-                let _ = self.disk.release(b);
+                let _ = self.view.disk.release(b);
             }
             return Err(e);
         }
         let commit = if kept_blocks.is_empty() {
             // Every block dropped: the table leaves the version outright.
-            self.disk.sync();
+            self.view.disk.sync();
             self.manifest
                 .borrow_mut()
-                .append(&self.disk, &[Edit::RemoveTable { id: old_id }])
+                .append(&self.view.disk, &[Edit::RemoveTable { id: old_id }])
                 .map(|()| None)
         } else {
             let new_id = self.next_table_id;
@@ -418,14 +418,14 @@ impl Db {
                     table.attach_filter(&keys, &filter);
                     report.filters_rebuilt += 1;
                     if let Some(f) = &table.filter {
-                        match self.disk.write(SsTable::encode_filter_image(f)) {
+                        match self.view.disk.write(SsTable::encode_filter_image(f)) {
                             Ok(b) => {
                                 fresh_blocks.push(b);
                                 table.filter_block = Some(b);
                             }
                             Err(e) => {
                                 for &b in &fresh_blocks {
-                                    let _ = self.disk.release(b);
+                                    let _ = self.view.disk.release(b);
                                 }
                                 return Err(e);
                             }
@@ -441,7 +441,7 @@ impl Db {
                 // The persisted image block transfers to the new id either
                 // way — the next open can still load it in one read.
                 table.filter =
-                    Arc::get_mut(&mut self.levels[lvl][pos]).and_then(|t| t.filter.take());
+                    Arc::get_mut(&mut self.view.levels[lvl][pos]).and_then(|t| t.filter.take());
                 table.filter_block = old_filter_block;
             }
             let mut edits = vec![Edit::RemoveTable { id: old_id }, Edit::AddTable(table.meta(lvl))];
@@ -449,10 +449,10 @@ impl Db {
                 edits.push(Edit::Quarantine { table: new_id, block: bi });
             }
             // Data (repaired blocks) durable before the reference to it.
-            self.disk.sync();
+            self.view.disk.sync();
             self.manifest
                 .borrow_mut()
-                .append(&self.disk, &edits)
+                .append(&self.view.disk, &edits)
                 .map(|()| Some(table))
         };
         let new_table = match commit {
@@ -460,7 +460,7 @@ impl Db {
             Err(e) => {
                 // Unpublished repair blocks must not leak.
                 for &b in &fresh_blocks {
-                    let _ = self.disk.release(b);
+                    let _ = self.view.disk.release(b);
                 }
                 return Err(e);
             }
@@ -468,24 +468,25 @@ impl Db {
         // Commit point. Drop stale cache entries keyed by the retired id,
         // re-map quarantine bookkeeping to the new id, and free every
         // device block the new shape no longer references.
-        self.cache.invalidate_table(old_id);
-        self.quarantined.borrow_mut().retain(|&(t, _)| t != old_id);
+        self.view.cache.invalidate_table(old_id);
+        let new_id = new_table.as_ref().map(|t| t.id);
+        self.view.edit_quarantine(|q| {
+            q.retain(|&(t, _)| t != old_id);
+            if let Some(id) = new_id {
+                q.extend(quarantined_bi.iter().map(|&bi| (id, bi)));
+            }
+        });
         let removed = new_table.is_none();
         if let Some(t) = new_table {
             self.next_table_id = t.id + 1;
-            let mut q = self.quarantined.borrow_mut();
-            for &bi in &quarantined_bi {
-                q.insert((t.id, bi));
-            }
-            drop(q);
             let carried_filter_block = t.filter_block;
-            let old = std::mem::replace(&mut self.levels[lvl][pos], Arc::new(t));
+            let old = std::mem::replace(&mut self.view.levels[lvl][pos], Arc::new(t));
             for (bi, s) in states.iter().enumerate() {
                 match s {
-                    BlockState::Dropped { block } => self.disk.release(*block)?,
+                    BlockState::Dropped { block } => self.view.disk.release(*block)?,
                     BlockState::Kept { block, .. } if *block != old.blocks[bi] => {
                         // Repaired: the rotted original is dead.
-                        self.disk.release(old.blocks[bi])?;
+                        self.view.disk.release(old.blocks[bi])?;
                     }
                     _ => {}
                 }
@@ -493,12 +494,12 @@ impl Db {
             // The old filter image dies unless the new table inherited it.
             if let Some(fb) = old_filter_block {
                 if carried_filter_block != Some(fb) {
-                    self.disk.release(fb)?;
+                    self.view.disk.release(fb)?;
                 }
             }
         } else {
-            let old = self.levels[lvl].remove(pos);
-            old.release(&self.disk)?;
+            let old = self.view.levels[lvl].remove(pos);
+            old.release(&self.view.disk)?;
         }
         report.tables_rewritten += 1;
         Ok(removed)
@@ -515,14 +516,14 @@ impl Db {
             spans.push(r);
         }
         let mut newer_tables: Vec<&SsTable> = if lvl == 0 {
-            self.levels[0][pos + 1..].iter().map(|t| t.as_ref()).collect()
+            self.view.levels[0][pos + 1..].iter().map(|t| t.as_ref()).collect()
         } else {
-            self.levels[..lvl].iter().flatten().map(|t| t.as_ref()).collect()
+            self.view.levels[..lvl].iter().flatten().map(|t| t.as_ref()).collect()
         };
-        if lvl >= 1 && self.overlapping {
+        if lvl >= 1 && self.view.overlapping {
             // Tiered runs at the same level are age-ordered newest-last:
             // later runs are strictly newer data too.
-            newer_tables.extend(self.levels[lvl][pos + 1..].iter().map(|t| t.as_ref()));
+            newer_tables.extend(self.view.levels[lvl][pos + 1..].iter().map(|t| t.as_ref()));
         }
         for t in newer_tables {
             spans.push((t.min_key.clone(), t.max_key.clone()));

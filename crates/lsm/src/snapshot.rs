@@ -1,14 +1,16 @@
 //! Immutable point-in-time read views ([`DbSnapshot`]).
 //!
-//! A snapshot freezes everything a read needs — the MemTable contents
-//! (copied into a sorted vector), the level structure (`Arc`-shared
-//! tables), and the quarantine set — next to `Arc` handles on the shared
-//! device and block cache. The result is `Send + Sync`: any number of
-//! threads can run point gets and range scans against it while the owning
-//! [`Db`] keeps absorbing writes, flushing, and compacting on its own
-//! thread. Writers never wait for readers and readers never wait for
-//! writers; the only shared mutable state is the striped block cache,
-//! locked per stripe for microseconds at a time.
+//! A snapshot is the MemTable copied into a sorted vector next to a clone
+//! of the owning [`Db`]'s [`ReadView`]: the same level structure
+//! (`Arc`-shared tables), quarantine set (copy-on-write), device, and
+//! block cache that `Db` reads through. Snapshot reads run the very same
+//! table walk, in-block lookup, and block-fetch ladder as `Db`'s own
+//! reads. The result is `Send + Sync`: any number of threads can run point
+//! gets and range scans against it while the owning `Db` keeps absorbing
+//! writes, flushing, and compacting on its own thread. Writers never wait
+//! for readers and readers never wait for writers; the only shared mutable
+//! state is the striped block cache, locked per stripe for microseconds at
+//! a time.
 //!
 //! Retired tables stay alive as long as any snapshot holds their `Arc`
 //! (the `Db` parks them in a graveyard and releases their blocks only
@@ -17,17 +19,16 @@
 //!
 //! ## Fault policy
 //!
-//! Snapshot reads are *degraded, never escalating*: a quarantined or
-//! persistently unreadable block is served as empty for this view (the
-//! same answer the owning `Db` gives), transient faults are retried under
-//! backoff, and a snapshot never quarantines a block or writes a manifest
-//! edit — fault bookkeeping stays with the single writer.
+//! Snapshot reads are *degraded, never escalating*: a quarantined block is
+//! served as empty without a read, transient faults are retried under
+//! backoff, and a block that stays unreadable is served as empty for this
+//! view only ([`ReadView::fetch_or_empty`]). A snapshot never quarantines
+//! a block or writes a manifest edit — fault bookkeeping stays with the
+//! single writer.
 
-use crate::db::{BlockCache, Db};
-use crate::disk::SimDisk;
+use crate::db::Db;
 use crate::sstable::{DecodedBlock, SsTable};
-use memtree_faults::Backoff;
-use std::collections::HashSet;
+use crate::view::{find_in_block, seek_in_table, ReadView};
 use std::sync::Arc;
 
 /// An immutable, `Send + Sync` point-in-time view of a [`Db`].
@@ -35,17 +36,9 @@ use std::sync::Arc;
 /// Created by [`Db::snapshot`]; see the module docs for semantics.
 pub struct DbSnapshot {
     /// The MemTable at snapshot time, sorted; `None` = tombstone.
-    pub(crate) mem: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    /// `levels[0]` newest-last; levels ≥ 1 key-ordered and disjoint under
-    /// leveled compaction, age-ordered newest-last runs under tiered.
-    pub(crate) levels: Vec<Vec<Arc<SsTable>>>,
-    /// True when levels ≥ 1 hold overlapping runs (tiered compaction):
-    /// deep levels are read newest-first like L0.
-    pub(crate) overlapping: bool,
-    /// Blocks known-bad at snapshot time; served as empty without a read.
-    pub(crate) quarantined: HashSet<(u64, u32)>,
-    pub(crate) disk: Arc<SimDisk>,
-    pub(crate) cache: Arc<BlockCache>,
+    pub(crate) mem: Arc<DecodedBlock>,
+    /// The `Db`'s read view at snapshot time.
+    pub(crate) view: ReadView,
     /// Last WAL sequence number applied to this view.
     pub(crate) seq: u64,
 }
@@ -53,64 +46,43 @@ pub struct DbSnapshot {
 impl Db {
     /// Freezes the current state into an immutable [`DbSnapshot`] that
     /// other threads can read while this `Db` keeps writing. Cost is one
-    /// copy of the MemTable plus `Arc` bumps on every live table.
+    /// copy of the MemTable plus a clone of the `Db`'s read view: `Arc`
+    /// bumps on every live table, the quarantine set, the disk, and the
+    /// block cache.
     pub fn snapshot(&self) -> DbSnapshot {
-        let mut mem = Vec::new();
-        self.memtable_entries(&mut mem);
         DbSnapshot {
-            mem,
-            levels: self.levels.clone(),
-            overlapping: self.overlapping,
-            quarantined: self.quarantined.borrow().clone(),
-            disk: self.disk_handle(),
-            cache: Arc::clone(&self.cache),
+            mem: Arc::new(self.memtable_entries()),
+            view: self.view.clone(),
             seq: self.last_seq(),
         }
     }
 }
 
-/// One ordered source feeding the merge in [`DbSnapshot::scan_from`].
-/// Sources are consulted newest-first; on a key tie the newest wins.
-enum Source<'a> {
-    /// The frozen MemTable slice.
-    Mem {
-        entries: &'a [(Vec<u8>, Option<Vec<u8>>)],
-        idx: usize,
-    },
-    /// A streaming cursor over one table's blocks.
-    Table(TableCursor<'a>),
-}
-
-struct TableCursor<'a> {
-    table: &'a SsTable,
-    /// Index into `table.blocks`; `== blocks.len()` when exhausted.
+/// One ordered source feeding the merge in [`DbSnapshot::scan_from`]: the
+/// frozen MemTable (a single block of no table) or a streaming cursor over
+/// one table's blocks. Sources are consulted newest-first; on a key tie
+/// the newest wins.
+struct Cursor<'a> {
+    table: Option<&'a SsTable>,
+    /// Index into `table.blocks`.
     block: usize,
     data: Arc<DecodedBlock>,
     pos: usize,
 }
 
-impl<'a> Source<'a> {
-    fn peek(&self) -> Option<(&[u8], &Option<Vec<u8>>)> {
-        match self {
-            Source::Mem { entries, idx } => {
-                entries.get(*idx).map(|(k, v)| (k.as_slice(), v))
-            }
-            Source::Table(c) => c.data.get(c.pos).map(|(k, v)| (k.as_slice(), v)),
-        }
+impl Cursor<'_> {
+    fn peek(&self) -> Option<&(Vec<u8>, Option<Vec<u8>>)> {
+        self.data.get(self.pos)
     }
 
-    fn advance(&mut self, snap: &DbSnapshot) {
-        match self {
-            Source::Mem { idx, .. } => *idx += 1,
-            Source::Table(c) => {
-                c.pos += 1;
-                // Skip exhausted and degraded-empty blocks.
-                while c.pos >= c.data.len() && c.block + 1 < c.table.blocks.len() {
-                    c.block += 1;
-                    c.data = snap.fetch_block(c.table, c.block);
-                    c.pos = 0;
-                }
-            }
+    fn advance(&mut self, view: &ReadView) {
+        self.pos += 1;
+        let Some(table) = self.table else { return };
+        // Skip exhausted and degraded-empty blocks.
+        while self.pos >= self.data.len() && self.block + 1 < table.blocks.len() {
+            self.block += 1;
+            self.data = view.fetch_or_empty(table, self.block);
+            self.pos = 0;
         }
     }
 }
@@ -124,43 +96,12 @@ impl DbSnapshot {
     /// Point lookup at snapshot time; newest version wins, a tombstone at
     /// any level answers `None` without consulting older levels.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        if let Ok(i) = self.mem.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            return self.mem[i].1.clone();
+        if let Some(v) = find_in_block(&self.mem, key) {
+            return v;
         }
-        let probe = |table: &SsTable| -> Option<Option<Vec<u8>>> {
-            if !table.covers(key) || (table.has_filter() && !table.filter_may_contain(key)) {
-                return None;
-            }
-            let blk = self.fetch_block(table, table.candidate_block(key));
-            blk.binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                .ok()
-                .map(|i| blk[i].1.clone())
-        };
-        if let Some(l0) = self.levels.first() {
-            for table in l0.iter().rev() {
-                if let Some(v) = probe(table) {
-                    return v;
-                }
-            }
-        }
-        for level in self.levels.iter().skip(1) {
-            if self.overlapping {
-                // Tiered runs overlap: scan newest-first like L0.
-                for table in level.iter().rev() {
-                    if let Some(v) = probe(table) {
-                        return v;
-                    }
-                }
-            } else {
-                let idx = level.partition_point(|t| t.max_key.as_slice() < key);
-                if let Some(table) = level.get(idx) {
-                    if let Some(v) = probe(table) {
-                        return v;
-                    }
-                }
-            }
-        }
-        None
+        self.view
+            .get(key, |t| t.filter_may_contain(key), |t, b| self.view.fetch_or_empty(t, b))
+            .flatten()
     }
 
     /// Merged range scan: up to `limit` live `(key, value)` entries with
@@ -176,52 +117,38 @@ impl DbSnapshot {
         if limit == 0 {
             return out;
         }
-        // Build the newest-first source list: MemTable, then L0 newest-
-        // last reversed, then each deeper level's overlapping tables
-        // (disjoint within a level, so order within it is by key anyway).
-        let mut sources: Vec<Source<'_>> = Vec::new();
-        let start = self.mem.partition_point(|(k, _)| k.as_slice() < lk);
-        sources.push(Source::Mem { entries: &self.mem, idx: start });
-        let in_range = |t: &SsTable| {
-            t.max_key.as_slice() >= lk && hk.is_none_or(|hk| t.min_key.as_slice() < hk)
-        };
-        if let Some(l0) = self.levels.first() {
-            for table in l0.iter().rev().filter(|t| in_range(t)) {
-                sources.push(Source::Table(self.open_cursor(table, lk)));
-            }
-        }
-        for level in self.levels.iter().skip(1) {
-            if self.overlapping {
-                // Tiered runs are age-ordered newest-last; reverse so the
-                // earlier source wins key ties, exactly like L0.
-                for table in level.iter().rev().filter(|t| in_range(t)) {
-                    sources.push(Source::Table(self.open_cursor(table, lk)));
-                }
-            } else {
-                for table in level.iter().filter(|t| in_range(t)) {
-                    sources.push(Source::Table(self.open_cursor(table, lk)));
-                }
-            }
-        }
+        // Newest-first sources: the MemTable, then the range walk's tables.
+        let mut sources = vec![Cursor {
+            table: None,
+            block: 0,
+            pos: self.mem.partition_point(|(k, _)| k.as_slice() < lk),
+            data: Arc::clone(&self.mem),
+        }];
+        sources.extend(self.view.tables_in_range(lk, hk).map(|table| {
+            let (block, data, pos) =
+                seek_in_table(table, lk, |b| self.view.fetch_or_empty(table, b));
+            Cursor { table: Some(table), block, data, pos }
+        }));
         loop {
             // Smallest key across sources; first (= newest) source wins
             // ties and provides the authoritative value.
-            let mut best: Option<(usize, Vec<u8>)> = None;
+            let mut best: Option<(usize, &[u8])> = None;
             for (i, s) in sources.iter().enumerate() {
                 if let Some((k, _)) = s.peek() {
-                    if hk.is_some_and(|hk| k >= hk) {
+                    if hk.is_some_and(|hk| k.as_slice() >= hk) {
                         continue;
                     }
-                    if best.as_ref().is_none_or(|(_, b)| k < b.as_slice()) {
-                        best = Some((i, k.to_vec()));
+                    if best.is_none_or(|(_, b)| k.as_slice() < b) {
+                        best = Some((i, k));
                     }
                 }
             }
             let Some((winner, key)) = best else { break };
+            let key = key.to_vec();
             let value = sources[winner].peek().and_then(|(_, v)| v.clone());
             for s in sources.iter_mut() {
-                while s.peek().is_some_and(|(k, _)| k == key.as_slice()) {
-                    s.advance(self);
+                while s.peek().is_some_and(|(k, _)| *k == key) {
+                    s.advance(&self.view);
                 }
             }
             if let Some(v) = value {
@@ -232,54 +159,6 @@ impl DbSnapshot {
             }
         }
         out
-    }
-
-    fn open_cursor<'a>(&self, table: &'a SsTable, lk: &[u8]) -> TableCursor<'a> {
-        let mut c = TableCursor {
-            table,
-            block: table.candidate_block(lk),
-            data: Arc::new(Vec::new()),
-            pos: 0,
-        };
-        if c.block < table.blocks.len() {
-            c.data = self.fetch_block(table, c.block);
-            c.pos = c.data.partition_point(|(k, _)| k.as_slice() < lk);
-            while c.pos >= c.data.len() && c.block + 1 < table.blocks.len() {
-                c.block += 1;
-                c.data = self.fetch_block(table, c.block);
-                c.pos = c.data.partition_point(|(k, _)| k.as_slice() < lk);
-            }
-        }
-        c
-    }
-
-    /// Degraded block fetch: cache first, quarantined blocks are empty
-    /// without a read, transients retry under backoff, and anything still
-    /// unreadable is served as empty for this view only — a snapshot never
-    /// quarantines, repairs, or persists anything.
-    fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<DecodedBlock> {
-        if let Some(hit) = self.cache.get(table.id, block) {
-            return hit;
-        }
-        if self.quarantined.contains(&(table.id, block as u32)) {
-            return Arc::new(Vec::new());
-        }
-        let mut backoff = Backoff::new(8);
-        loop {
-            match self
-                .disk
-                .read(table.blocks[block])
-                .and_then(|raw| SsTable::decode_block(&raw))
-            {
-                Ok(d) => {
-                    let d = Arc::new(d);
-                    self.cache.insert(table.id, block, Arc::clone(&d));
-                    return d;
-                }
-                Err(e) if backoff.retry(&e) => continue,
-                Err(_) => return Arc::new(Vec::new()),
-            }
-        }
     }
 }
 

@@ -364,6 +364,12 @@ impl SsTable {
         self.min_key.as_slice() <= hi && lo <= self.max_key.as_slice()
     }
 
+    /// Does the table's key range meet `[lk, hk)` (unbounded above when
+    /// `hk` is `None`)?
+    pub(crate) fn meets(&self, lk: &[u8], hk: Option<&[u8]>) -> bool {
+        lk <= self.max_key.as_slice() && hk.is_none_or(|hk| self.min_key.as_slice() < hk)
+    }
+
     /// Filter check for point gets; `true` when no filter is attached.
     pub(crate) fn filter_may_contain(&self, key: &[u8]) -> bool {
         match &self.filter {

@@ -1,6 +1,7 @@
 //! Differential LSM oracle: `get` / `multi_get` / `seek` / `next_after` /
-//! `count` / `multi_scan` cross-checked against a `BTreeMap` reference
-//! across 32 seeds for every `FilterKind`.
+//! `count` / `multi_scan`, and a snapshot's `get` / `scan_from`,
+//! cross-checked against a `BTreeMap` reference across 32 seeds for every
+//! `FilterKind`.
 //!
 //! Unlike `model.rs` (which interleaves commands and checks), this harness
 //! builds a randomized database per seed and then sweeps every read API
@@ -110,6 +111,37 @@ fn oracle_all_filter_kinds() {
                         Ok::<_, String>(got)
                     })
                     .collect::<Result<_, _>>()?;
+                // A snapshot reads through the same view: DbSnapshot::get
+                // and scan_from (open and bounded) ↔ model.
+                let snap = db.snapshot();
+                for k in &refs {
+                    check_eq!(snap.get(k), model.get(*k).cloned(), "{filter:?} snapshot get {k:?}");
+                }
+                for (i, w) in probe_keys.windows(2).enumerate() {
+                    let lk = &w[0];
+                    let limit = [usize::MAX, 1, 5, 64][i % 4];
+                    let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range(lk.clone()..)
+                        .take(limit)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    check_eq!(snap.scan_from(lk, None, limit), want, "{filter:?} scan_from {lk:?}");
+                    let hk = &w[1];
+                    let want: Vec<(Vec<u8>, Vec<u8>)> = if lk <= hk {
+                        model
+                            .range(lk.clone()..hk.clone())
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    check_eq!(
+                        snap.scan_from(lk, Some(hk), usize::MAX),
+                        want,
+                        "{filter:?} scan_from {lk:?}..{hk:?}"
+                    );
+                }
+
                 for chunk in [1usize, 7, 64, refs.len().max(1)] {
                     let mut got = Vec::new();
                     for c in refs.chunks(chunk) {

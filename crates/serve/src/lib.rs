@@ -684,7 +684,7 @@ impl ShardedDb {
     /// `limit` live entries with `lk <= key` (`< hk` when bounded), in
     /// global key order.
     pub fn scan(&self, lk: &[u8], hk: Option<&[u8]>, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let per_shard: Vec<Vec<(Vec<u8>, Vec<u8>)>> = self
+        let mut per_shard: Vec<Vec<(Vec<u8>, Vec<u8>)>> = self
             .slots
             .iter()
             .map(|s| s.snap.load().scan_from(lk, hk, limit))
@@ -703,7 +703,8 @@ impl ShardedDb {
                 }
             }
             let Some(s) = best else { break };
-            out.push(per_shard[s][idx[s]].clone());
+            // Entries behind a cursor are never read again: move them out.
+            out.push(std::mem::take(&mut per_shard[s][idx[s]]));
             idx[s] += 1;
         }
         out

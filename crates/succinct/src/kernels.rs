@@ -52,47 +52,23 @@ const fn select_in_byte_table() -> [u8; 2048] {
     t
 }
 
-/// Cached runtime CPU-feature detection. The first call per feature pays
-/// for `cpuid`; every later call is one relaxed atomic load. A feature
-/// only tests "present" when the process-wide `MEMTREE_KERNELS` policy
-/// ([`memtree_common::dispatch`]) allows hardware tiers, so `scalar` mode
-/// pins every dispatched kernel to its portable form.
+/// Runtime CPU-feature dispatch through the workspace's cached probe
+/// ([`memtree_common::cached!`]), which honours `MEMTREE_KERNELS=scalar`.
 #[cfg(target_arch = "x86_64")]
 mod cpu {
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    const UNKNOWN: u8 = 0;
-    const ABSENT: u8 = 1;
-    const PRESENT: u8 = 2;
-
-    macro_rules! cached {
-        ($cache:ident, $feature:tt) => {{
-            static $cache: AtomicU8 = AtomicU8::new(UNKNOWN);
-            match $cache.load(Ordering::Relaxed) {
-                UNKNOWN => {
-                    let present = memtree_common::dispatch::hardware_allowed()
-                        && std::arch::is_x86_feature_detected!($feature);
-                    $cache.store(if present { PRESENT } else { ABSENT }, Ordering::Relaxed);
-                    present
-                }
-                state => state == PRESENT,
-            }
-        }};
-    }
-
     #[inline]
     pub(super) fn has_bmi2() -> bool {
-        cached!(BMI2, "bmi2")
+        memtree_common::cached!("bmi2")
     }
 
     #[inline]
     pub(super) fn has_sse2() -> bool {
-        cached!(SSE2, "sse2")
+        memtree_common::cached!("sse2")
     }
 
     #[inline]
     pub(super) fn has_popcnt() -> bool {
-        cached!(POPCNT, "popcnt")
+        memtree_common::cached!("popcnt")
     }
 }
 

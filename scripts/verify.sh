@@ -36,6 +36,9 @@ RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve
 echo "== crash + scrub oracles (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
 cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle
 
+echo "== perfbench tests (BTreeMap replay fidelity + BENCHMARK.json schema, offline) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy --all-targets -D warnings (offline) =="
 cargo clippy --all-targets --offline -- -D warnings
 
