@@ -21,7 +21,7 @@
 //! bench_faults` (`--smoke` for the CI-sized run, `--out PATH` to write
 //! the JSON elsewhere).
 
-use memtree_bench::{mops, time};
+use memtree_bench::{bench_args, mops, time, write_report};
 use memtree_btree::CompressedBTree;
 use memtree_common::key::encode_u64;
 use memtree_common::traits::{OrderedIndex, StaticIndex, Value};
@@ -43,30 +43,12 @@ struct Config {
 }
 
 fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, out_path) = bench_args("faults");
     Config {
         n_keys: if smoke { 100_000 } else { 1_000_000 },
         lsm_keys: if smoke { 20_000 } else { 120_000 },
         n_reads: if smoke { 40_000 } else { 200_000 },
-        out_path: out.unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_faults_smoke.json".into()
-            } else {
-                "BENCH_faults.json".into()
-            }
-        }),
+        out_path,
         smoke,
     }
 }
@@ -436,28 +418,18 @@ fn write_json(
         enospc.leak_free,
         enospc.recovery_ms,
     );
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, &json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-    // Schema self-check: every key the downstream tooling greps for.
-    let back = std::fs::read_to_string(&cfg.out_path).expect("read back BENCH_faults.json");
-    for required in [
-        "\"meta\"", "\"n_keys\"", "\"smoke\"", "\"kernel_mode\"", "\"crc_kernel\"",
-        "\"merge_build\"", "\"uncached_point_get\"",
-        "\"codec_encode\"", "\"codec_decode\"", "\"hybrid_merge_end_to_end\"",
-        "\"scrub_gb_per_s\"", "\"scrub_detail\"", "\"blocks_scanned\"", "\"bytes_scanned\"",
-        "\"degraded_read_tax_pct\"", "\"degraded_read_detail\"", "\"degraded_tables\"",
-        "\"enospc_recovery\"", "\"typed_error\"", "\"leak_free_retries\"", "\"recovery_ms\"",
-    ] {
-        assert!(back.contains(required), "{} missing key {required}", cfg.out_path);
-    }
-    println!("wrote {} (schema check passed)", cfg.out_path);
+    write_report(
+        &cfg.out_path,
+        &json,
+        &[
+            "\"meta\"", "\"n_keys\"", "\"smoke\"", "\"kernel_mode\"", "\"crc_kernel\"",
+            "\"merge_build\"", "\"uncached_point_get\"",
+            "\"codec_encode\"", "\"codec_decode\"", "\"hybrid_merge_end_to_end\"",
+            "\"scrub_gb_per_s\"", "\"scrub_detail\"", "\"blocks_scanned\"", "\"bytes_scanned\"",
+            "\"degraded_read_tax_pct\"", "\"degraded_read_detail\"", "\"degraded_tables\"",
+            "\"enospc_recovery\"", "\"typed_error\"", "\"leak_free_retries\"", "\"recovery_ms\"",
+        ],
+    );
 }
 
 fn main() {

@@ -20,7 +20,7 @@
 //! Run from the repo root:
 //! `cargo run -p memtree-bench --release --bin bench_hotpath`
 
-use memtree_bench::{mops, time};
+use memtree_bench::{bench_args, mops, time, write_report};
 use memtree_btree::CompactBTree;
 use memtree_common::hash::splitmix64;
 use memtree_common::traits::{BatchProbe, OrderedIndex, StaticIndex, Value};
@@ -46,19 +46,7 @@ struct Config {
 }
 
 fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, out_path) = bench_args("hotpath");
     let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
     if smoke {
         Config {
@@ -67,7 +55,7 @@ fn config() -> Config {
             kernel_iters: 100_000,
             runs: 1,
             threads: if hw > 1 { vec![1, 2] } else { vec![1] },
-            out_path: out.unwrap_or_else(|| "target/BENCH_hotpath_smoke.json".into()),
+            out_path,
             smoke,
         }
     } else {
@@ -77,7 +65,7 @@ fn config() -> Config {
             kernel_iters: 4_000_000,
             runs: 3,
             threads: [1usize, 2, 4, 8].iter().copied().filter(|&t| t <= hw).collect(),
-            out_path: out.unwrap_or_else(|| "BENCH_hotpath.json".into()),
+            out_path,
             smoke,
         }
     }
@@ -765,33 +753,24 @@ fn main() {
 
     // Schema self-check: every section a downstream reader depends on must
     // be present in the emitted document.
-    for key in [
-        "\"meta\"",
-        "\"kernel_mode\"",
-        "\"crc_kernel\"",
-        "\"kernels\"",
-        "\"popcount_words8\"",
-        "\"rank_select_pareto\"",
-        "\"block_bits\"",
-        "\"sample\"",
-        "\"bits_per_key\"",
-        "\"mixed_mops\"",
-        "\"fst_point_lookup\"",
-        "\"multi_get\"",
-        "\"compact_art_cutover\"",
-        "\"thread_scaling\"",
-    ] {
-        assert!(json.contains(key), "BENCH_hotpath.json schema missing {key}");
-    }
-
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-    println!("wrote {}", cfg.out_path);
+    write_report(
+        &cfg.out_path,
+        &json,
+        &[
+            "\"meta\"",
+            "\"kernel_mode\"",
+            "\"crc_kernel\"",
+            "\"kernels\"",
+            "\"popcount_words8\"",
+            "\"rank_select_pareto\"",
+            "\"block_bits\"",
+            "\"sample\"",
+            "\"bits_per_key\"",
+            "\"mixed_mops\"",
+            "\"fst_point_lookup\"",
+            "\"multi_get\"",
+            "\"compact_art_cutover\"",
+            "\"thread_scaling\"",
+        ],
+    );
 }

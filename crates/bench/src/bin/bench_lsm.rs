@@ -26,7 +26,7 @@
 //! Run from the repo root:
 //! `cargo run -p memtree-bench --release --bin bench_lsm`
 
-use memtree_bench::{mops, time};
+use memtree_bench::{bench_args, mops, time, write_report};
 use memtree_common::key::encode_u64;
 use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, FilterStats, SeekResult};
 use std::time::Duration;
@@ -40,25 +40,13 @@ struct Config {
 }
 
 fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, out_path) = bench_args("lsm");
     if smoke {
         Config {
             n_keys: 6_000,
             n_probes: 3_000,
             runs: 1,
-            out_path: out.unwrap_or_else(|| "target/BENCH_lsm_smoke.json".into()),
+            out_path,
             smoke,
         }
     } else {
@@ -66,7 +54,7 @@ fn config() -> Config {
             n_keys: 150_000,
             n_probes: 60_000,
             runs: 3,
-            out_path: out.unwrap_or_else(|| "BENCH_lsm.json".into()),
+            out_path,
             smoke,
         }
     }
@@ -458,29 +446,17 @@ fn write_json(cfg: &Config, reports: &[KindReport], policies: &[PolicyReport]) {
     }
     json.push_str("  ]\n}\n");
 
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-
-    // Schema self-check: read the artifact back and require every key the
-    // downstream tooling greps for. Catches a silently malformed writer.
-    let back = std::fs::read_to_string(&cfg.out_path).expect("read back BENCH_lsm.json");
-    for required in [
-        "\"meta\"", "\"n_keys\"", "\"n_probes\"", "\"smoke\"", "\"kinds\"", "\"kind\"",
-        "\"tables\"", "\"per_key\"", "\"batches\"", "\"batch\"", "\"mops\"",
-        "\"block_reads\"", "\"probe_passes\"", "\"keys_probed\"",
-        "\"policies\"", "\"policy\"", "\"block_writes\"", "\"write_amp\"",
-        "\"read_amp\"", "\"space_amp\"", "\"used_bytes\"",
-    ] {
-        assert!(back.contains(required), "{} missing key {required}", cfg.out_path);
-    }
-    println!("wrote {} (schema check passed)", cfg.out_path);
+    write_report(
+        &cfg.out_path,
+        &json,
+        &[
+            "\"meta\"", "\"n_keys\"", "\"n_probes\"", "\"smoke\"", "\"kinds\"", "\"kind\"",
+            "\"tables\"", "\"per_key\"", "\"batches\"", "\"batch\"", "\"mops\"",
+            "\"block_reads\"", "\"probe_passes\"", "\"keys_probed\"",
+            "\"policies\"", "\"policy\"", "\"block_writes\"", "\"write_amp\"",
+            "\"read_amp\"", "\"space_amp\"", "\"used_bytes\"",
+        ],
+    );
 }
 
 fn main() {

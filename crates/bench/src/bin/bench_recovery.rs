@@ -22,7 +22,7 @@
 //! Run from the repo root:
 //! `cargo run -p memtree-bench --release --bin bench_recovery`
 
-use memtree_bench::{mops, time};
+use memtree_bench::{bench_args, mops, time, write_report};
 use memtree_common::key::encode_u64;
 use memtree_lsm::{Db, DbOptions, FilterKind};
 
@@ -33,28 +33,10 @@ struct Config {
 }
 
 fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, out_path) = bench_args("recovery");
     Config {
         n_keys: if smoke { 20_000 } else { 120_000 },
-        out_path: out.unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_recovery_smoke.json".into()
-            } else {
-                "BENCH_recovery.json".into()
-            }
-        }),
+        out_path,
         smoke,
     }
 }
@@ -318,29 +300,18 @@ fn write_json(cfg: &Config, wal: &[WalLine], rec: &[RecoveryLine], torn: &TornRe
     ));
     json.push_str("}\n");
 
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-
-    // Schema self-check: every key the downstream tooling greps for.
-    let back = std::fs::read_to_string(&cfg.out_path).expect("read back BENCH_recovery.json");
-    for required in [
-        "\"meta\"", "\"n_keys\"", "\"smoke\"", "\"wal_overhead\"", "\"config\"",
-        "\"group_commit\"", "\"mops\"", "\"syncs\"", "\"wal_bytes\"", "\"write_amp\"",
-        "\"recovery\"", "\"kind\"", "\"open_ms\"", "\"replayed_records\"", "\"block_reads\"",
-        "\"tables\"", "\"filters_loaded\"",
-        "\"torn_tail\"", "\"issued\"", "\"acked\"", "\"recovered\"", "\"lost\"",
-        "\"torn_tail_truncated\"",
-    ] {
-        assert!(back.contains(required), "{} missing key {required}", cfg.out_path);
-    }
-    println!("wrote {} (schema check passed)", cfg.out_path);
+    write_report(
+        &cfg.out_path,
+        &json,
+        &[
+            "\"meta\"", "\"n_keys\"", "\"smoke\"", "\"wal_overhead\"", "\"config\"",
+            "\"group_commit\"", "\"mops\"", "\"syncs\"", "\"wal_bytes\"", "\"write_amp\"",
+            "\"recovery\"", "\"kind\"", "\"open_ms\"", "\"replayed_records\"", "\"block_reads\"",
+            "\"tables\"", "\"filters_loaded\"",
+            "\"torn_tail\"", "\"issued\"", "\"acked\"", "\"recovered\"", "\"lost\"",
+            "\"torn_tail_truncated\"",
+        ],
+    );
 }
 
 fn main() {

@@ -21,6 +21,7 @@
 //! Run from the repo root:
 //! `cargo run -p memtree-bench --release --bin bench_serve`
 
+use memtree_bench::{bench_args, write_report};
 use memtree_lsm::{DbOptions, SlowIo, StallConfig};
 use memtree_serve::{ServeOptions, ShardedDb};
 use memtree_workload::ycsb::{Dist, Mix, Op, OpGenerator};
@@ -37,29 +38,11 @@ struct Config {
 }
 
 fn config() -> Config {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, out_path) = bench_args("serve");
     Config {
         loaded: if smoke { 2_000 } else { 20_000 },
         ops_per_thread: if smoke { 1_500 } else { 15_000 },
-        out_path: out.unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_serve_smoke.json".into()
-            } else {
-                "BENCH_serve.json".into()
-            }
-        }),
+        out_path,
         smoke,
     }
 }
@@ -529,30 +512,19 @@ fn write_json(
     ));
     json.push_str("}\n");
 
-    if let Some(dir) = std::path::Path::new(&cfg.out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    if let Err(e) = std::fs::write(&cfg.out_path, json) {
-        eprintln!("error: cannot write {}: {e}", cfg.out_path);
-        std::process::exit(1);
-    }
-    // Schema self-check: read the artifact back and require every key the
-    // downstream tooling greps for.
-    let back = std::fs::read_to_string(&cfg.out_path).expect("read back BENCH_serve.json");
-    for required in [
-        "\"meta\"", "\"loaded\"", "\"ops_per_thread\"", "\"smoke\"", "\"shards\"",
-        "\"parallelism\"", "\"scaling_gate_enforced\"", "\"configs\"", "\"config\"",
-        "\"lines\"", "\"threads\"", "\"mops\"", "\"p50_us\"", "\"p99_us\"",
-        "\"stall\"", "\"backpressure_rejections\"", "\"stall_rejections\"",
-        "\"compact_steps\"", "\"overload_retries\"", "\"shed\"", "\"shed_rate\"",
-        "\"max_queue_depth\"", "\"slow_io\"", "\"p99_under_slow_io\"",
-        "\"slow_io_delay_us\"",
-    ] {
-        assert!(back.contains(required), "{} missing key {required}", cfg.out_path);
-    }
-    println!("wrote {} (schema check passed)", cfg.out_path);
+    write_report(
+        &cfg.out_path,
+        &json,
+        &[
+            "\"meta\"", "\"loaded\"", "\"ops_per_thread\"", "\"smoke\"", "\"shards\"",
+            "\"parallelism\"", "\"scaling_gate_enforced\"", "\"configs\"", "\"config\"",
+            "\"lines\"", "\"threads\"", "\"mops\"", "\"p50_us\"", "\"p99_us\"",
+            "\"stall\"", "\"backpressure_rejections\"", "\"stall_rejections\"",
+            "\"compact_steps\"", "\"overload_retries\"", "\"shed\"", "\"shed_rate\"",
+            "\"max_queue_depth\"", "\"slow_io\"", "\"p99_under_slow_io\"",
+            "\"slow_io_delay_us\"",
+        ],
+    );
 }
 
 fn main() {

@@ -1,37 +1,46 @@
 //! Deterministic fault injection for the memtree workspace.
 //!
-//! A process-wide registry of **named injection points**. Production code
-//! marks its risky transitions with [`fail_point!`] (or [`should_fail`]);
-//! tests arm specific points with a seed, a failure probability, and an
-//! optional failure budget, then assert that the system degrades instead
-//! of corrupting state.
+//! A [`Faults`] value is a **fault plan**: a set of named injection
+//! points, each armed with a failure probability, an optional failure
+//! budget, and its own seeded RNG stream. Every object whose code has
+//! fault points owns one inline — the LSM's `SimDisk`, the Hybrid Index,
+//! the hstore anti-cache — and evaluates its points through it with
+//! [`fail_point!`] or [`Faults::should_fail`]. Tests arm the plan of the
+//! object they break, so two tests (or two threads) holding different
+//! objects never see each other's faults.
 //!
 //! Design goals, in order:
 //!
-//! 1. **Zero cost when disarmed** — a single relaxed atomic load guards
-//!    every point; release binaries that never call [`enable`] pay one
-//!    branch per point.
+//! 1. **Zero cost when disarmed** — one relaxed atomic load guards every
+//!    point; the flag is set exactly while the plan has an armed point.
 //! 2. **Deterministic** — each point owns a SplitMix64 stream seeded from
-//!    the global seed and the point's name, so a failing schedule replays
+//!    the plan's seed and the point's name, so a failing schedule replays
 //!    from `(seed, op sequence)` alone, independent of unrelated points.
-//! 3. **Thread-safe** — the registry is a `Mutex`-guarded map; points are
-//!    armed/tripped atomically.
+//! 3. **Thread-safe** — a plan is a `Mutex`-guarded map; points are
+//!    armed/tripped atomically, so worker threads sharing the owner share
+//!    one schedule.
 //!
 //! ```
-//! use memtree_faults as faults;
+//! use memtree_faults::{fail_point, Faults};
 //!
-//! fn fetch_block() -> memtree_common::error::Result<Vec<u8>> {
-//!     faults::fail_point!("doc.fetch");
-//!     Ok(vec![1, 2, 3])
+//! struct Device {
+//!     faults: Faults,
 //! }
 //!
-//! let _guard = faults::test_lock(); // serialize fault tests in one binary
-//! faults::enable(42);
-//! faults::arm("doc.fetch", 1.0, Some(1)); // always fail, once
-//! assert!(fetch_block().is_err());
-//! assert!(fetch_block().is_ok()); // budget exhausted
-//! assert_eq!(faults::trips("doc.fetch"), 1);
-//! faults::disable();
+//! impl Device {
+//!     fn fetch_block(&self) -> memtree_common::error::Result<Vec<u8>> {
+//!         fail_point!(self.faults, "doc.fetch");
+//!         Ok(vec![1, 2, 3])
+//!     }
+//! }
+//!
+//! let dev = Device { faults: Faults::default() };
+//! dev.faults.enable(42);
+//! dev.faults.arm("doc.fetch", 1.0, Some(1)); // always fail, once
+//! assert!(dev.fetch_block().is_err());
+//! assert!(dev.fetch_block().is_ok()); // budget exhausted
+//! assert_eq!(dev.faults.trips("doc.fetch"), 1);
+//! dev.faults.disable();
 //! ```
 
 #![warn(missing_docs)]
@@ -39,13 +48,9 @@
 use memtree_common::hash::{hash64_seed, splitmix64};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 pub use memtree_common::error::MemtreeError;
-
-/// Fast-path switch: when false, every [`should_fail`] returns false after
-/// one relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 #[derive(Debug, Default)]
 struct PointState {
@@ -62,98 +67,118 @@ struct PointState {
 }
 
 #[derive(Debug, Default)]
-struct Registry {
+struct Plan {
     seed: u64,
     points: HashMap<String, PointState>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+/// A fault plan, owned by the object whose fault points it drives (see the
+/// module docs). Starts with nothing armed.
+#[derive(Debug, Default)]
+pub struct Faults {
+    /// Fast-path flag: true exactly while `plan` has an armed point.
+    armed: AtomicBool,
+    plan: Mutex<Plan>,
 }
 
-fn lock() -> MutexGuard<'static, Registry> {
-    registry().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Enables fault injection with a global seed. Clears any previously armed
-/// points so each test starts from a clean registry.
-pub fn enable(seed: u64) {
-    let mut r = lock();
-    r.seed = seed;
-    r.points.clear();
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Disables fault injection and clears every armed point. All
-/// [`should_fail`] calls return false afterwards.
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-    lock().points.clear();
-}
-
-/// True while the registry is enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Arms `point` to fail with `probability` (clamped to [0, 1]) and an
-/// optional budget of at most `budget` failures. Re-arming resets the
-/// point's counters and RNG stream.
-pub fn arm(point: &str, probability: f64, budget: Option<u64>) {
-    let mut r = lock();
-    let rng = r.seed ^ hash64_seed(point.as_bytes(), 0x0FA1_7599);
-    r.points.insert(
-        point.to_string(),
-        PointState {
-            probability: probability.clamp(0.0, 1.0),
-            budget,
-            rng,
-            trips: 0,
-            evals: 0,
-        },
-    );
-}
-
-/// Disarms a single point, leaving the rest of the registry untouched.
-pub fn disarm(point: &str) {
-    lock().points.remove(point);
-}
-
-/// Evaluates `point`: returns true if the fault should fire now. Counts
-/// the evaluation, consumes budget on a trip. Points that were never
-/// [`arm`]ed never fire.
-pub fn should_fail(point: &str) -> bool {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return false;
+impl Faults {
+    fn lock(&self) -> MutexGuard<'_, Plan> {
+        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    let mut r = lock();
-    let Some(s) = r.points.get_mut(point) else {
-        return false;
+
+    /// Starts a fresh plan: disarms every point and sets the seed later
+    /// [`arm`](Self::arm)s draw their streams from.
+    pub fn enable(&self, seed: u64) {
+        self.lock().seed = seed;
+        self.disable();
+    }
+
+    /// Disarms every point. All [`should_fail`](Self::should_fail) calls
+    /// return false afterwards.
+    pub fn disable(&self) {
+        let mut p = self.lock();
+        p.points.clear();
+        self.armed.store(false, Ordering::SeqCst);
+    }
+
+    /// Arms `point` to fail with `probability` (clamped to [0, 1]) and an
+    /// optional budget of at most `budget` failures. Re-arming resets the
+    /// point's counters and RNG stream.
+    pub fn arm(&self, point: &str, probability: f64, budget: Option<u64>) {
+        let mut p = self.lock();
+        let rng = p.seed ^ hash64_seed(point.as_bytes(), 0x0FA1_7599);
+        p.points.insert(
+            point.to_string(),
+            PointState {
+                probability: probability.clamp(0.0, 1.0),
+                budget,
+                rng,
+                trips: 0,
+                evals: 0,
+            },
+        );
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    /// Disarms a single point, leaving the rest of the plan untouched.
+    pub fn disarm(&self, point: &str) {
+        let mut p = self.lock();
+        p.points.remove(point);
+        self.armed.store(!p.points.is_empty(), Ordering::SeqCst);
+    }
+
+    /// Evaluates `point`: returns true if the fault should fire now. Counts
+    /// the evaluation, consumes budget on a trip. Points that were never
+    /// [`arm`](Self::arm)ed never fire.
+    #[inline]
+    pub fn should_fail(&self, point: &str) -> bool {
+        self.armed.load(Ordering::Relaxed) && self.draw(point)
+    }
+
+    fn draw(&self, point: &str) -> bool {
+        let mut p = self.lock();
+        let Some(s) = p.points.get_mut(point) else {
+            return false;
+        };
+        s.evals += 1;
+        if s.budget == Some(0) {
+            return false;
+        }
+        let draw = splitmix64(&mut s.rng) as f64 / u64::MAX as f64;
+        if draw >= s.probability {
+            return false;
+        }
+        if let Some(b) = &mut s.budget {
+            *b -= 1;
+        }
+        s.trips += 1;
+        true
+    }
+
+    /// Times `point` has fired since it was armed.
+    pub fn trips(&self, point: &str) -> u64 {
+        self.lock().points.get(point).map_or(0, |s| s.trips)
+    }
+
+    /// Times `point` was evaluated while armed.
+    pub fn evaluations(&self, point: &str) -> u64 {
+        self.lock().points.get(point).map_or(0, |s| s.evals)
+    }
+}
+
+/// The seeds a fault oracle sweeps: `MEMTREE_FAULT_SEEDS` (`"lo..hi"`),
+/// default `0..32`, so CI can shard a seed matrix across jobs.
+pub fn seed_range() -> std::ops::Range<u64> {
+    let spec = std::env::var("MEMTREE_FAULT_SEEDS").unwrap_or_else(|_| "0..32".to_string());
+    let (lo, hi) = spec
+        .split_once("..")
+        .unwrap_or_else(|| panic!("MEMTREE_FAULT_SEEDS must look like '0..32', got {spec:?}"));
+    let parse = |s: &str| {
+        s.trim()
+            .parse::<u64>()
+            .unwrap_or_else(|e| panic!("bad bound {s:?} in MEMTREE_FAULT_SEEDS: {e}"))
     };
-    s.evals += 1;
-    if s.budget == Some(0) {
-        return false;
-    }
-    let draw = splitmix64(&mut s.rng) as f64 / u64::MAX as f64;
-    if draw >= s.probability {
-        return false;
-    }
-    if let Some(b) = &mut s.budget {
-        *b -= 1;
-    }
-    s.trips += 1;
-    true
-}
-
-/// Times `point` has fired since it was armed.
-pub fn trips(point: &str) -> u64 {
-    lock().points.get(point).map_or(0, |s| s.trips)
-}
-
-/// Times `point` was evaluated while armed.
-pub fn evaluations(point: &str) -> u64 {
-    lock().points.get(point).map_or(0, |s| s.evals)
+    parse(lo)..parse(hi)
 }
 
 /// Bounded-backoff retry policy for transient faults.
@@ -204,34 +229,25 @@ impl Backoff {
     }
 }
 
-/// Serializes fault-injection tests within one test binary. The registry
-/// is process-global, so concurrently running `#[test]`s would otherwise
-/// see each other's armed points. Hold the guard for the whole test.
-pub fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Marks a fallible injection point. If the point is armed and fires, the
-/// enclosing function returns `Err(MemtreeError::Injected { .. })` (or a
-/// custom error with the two-argument form).
+/// Marks a fallible injection point evaluated through the [`Faults`] plan
+/// `$faults`. If the point is armed and fires, the enclosing function
+/// returns `Err(MemtreeError::Injected { .. })` (or a custom error with the
+/// three-argument form).
 ///
-/// Compiles to a single relaxed atomic load plus a never-taken branch when
-/// injection is disabled.
+/// Compiles to a single relaxed atomic load plus a never-taken branch
+/// while the plan has nothing armed.
 #[macro_export]
 macro_rules! fail_point {
-    ($name:expr) => {
-        if $crate::should_fail($name) {
+    ($faults:expr, $name:expr) => {
+        if $faults.should_fail($name) {
             return Err($crate::MemtreeError::Injected {
                 point: ($name).to_string(),
             }
             .into());
         }
     };
-    ($name:expr, $err:expr) => {
-        if $crate::should_fail($name) {
+    ($faults:expr, $name:expr, $err:expr) => {
+        if $faults.should_fail($name) {
             return Err($err);
         }
     };
@@ -243,75 +259,81 @@ mod tests {
 
     #[test]
     fn disarmed_points_never_fire_and_cost_nothing() {
-        let _g = test_lock();
-        disable();
-        assert!(!should_fail("never.armed"));
-        enable(1);
-        assert!(!should_fail("never.armed"));
-        disable();
+        let f = Faults::default();
+        assert!(!f.should_fail("never.armed"));
+        f.enable(1);
+        assert!(!f.should_fail("never.armed"));
+        f.arm("other", 1.0, None);
+        assert!(!f.should_fail("never.armed"));
+        assert_eq!(f.evaluations("never.armed"), 0);
+        f.disarm("other");
+        assert!(!f.armed.load(Ordering::Relaxed), "no armed point, flag off");
     }
 
     #[test]
     fn probability_one_always_fires_until_budget() {
-        let _g = test_lock();
-        enable(7);
-        arm("t.always", 1.0, Some(3));
-        let fired: Vec<bool> = (0..5).map(|_| should_fail("t.always")).collect();
+        let f = Faults::default();
+        f.enable(7);
+        f.arm("t.always", 1.0, Some(3));
+        let fired: Vec<bool> = (0..5).map(|_| f.should_fail("t.always")).collect();
         assert_eq!(fired, [true, true, true, false, false]);
-        assert_eq!(trips("t.always"), 3);
-        assert_eq!(evaluations("t.always"), 5);
-        disable();
+        assert_eq!(f.trips("t.always"), 3);
+        assert_eq!(f.evaluations("t.always"), 5);
+        f.disable();
+        assert_eq!(f.trips("t.always"), 0, "disable forgets the plan");
+    }
+
+    /// The first 64 draws of `("t.half", p = 0.5)` as a bitmask (bit i =
+    /// draw i fired).
+    fn half_mask(seed: u64) -> u64 {
+        let f = Faults::default();
+        f.enable(seed);
+        f.arm("t.half", 0.5, None);
+        (0..64).fold(0, |m, i| m | (u64::from(f.should_fail("t.half")) << i))
     }
 
     #[test]
     fn seeded_schedules_replay_exactly() {
-        let _g = test_lock();
-        let run = |seed| {
-            enable(seed);
-            arm("t.half", 0.5, None);
-            let v: Vec<bool> = (0..64).map(|_| should_fail("t.half")).collect();
-            disable();
-            v
-        };
-        assert_eq!(run(99), run(99));
-        assert_ne!(run(99), run(100));
+        // Pinned streams (`seed ^ hash64_seed(name, 0x0FA1_7599)` +
+        // SplitMix64): any change to the derivation changes every seeded
+        // oracle's fault schedule.
+        assert_eq!(half_mask(99), 0x5256_BA56_59BF_C585);
+        assert_eq!(half_mask(100), 0x0D30_BFD5_DB92_C5C2);
     }
 
     #[test]
     fn points_are_independent_streams() {
-        let _g = test_lock();
-        enable(5);
-        arm("t.a", 0.5, None);
-        arm("t.b", 0.5, None);
-        let solo: Vec<bool> = (0..32).map(|_| should_fail("t.a")).collect();
+        let f = Faults::default();
+        f.enable(5);
+        f.arm("t.a", 0.5, None);
+        f.arm("t.b", 0.5, None);
+        let solo: Vec<bool> = (0..32).map(|_| f.should_fail("t.a")).collect();
         // Re-arm and interleave evaluations of another point: t.a's
         // schedule must not change.
-        arm("t.a", 0.5, None);
+        f.arm("t.a", 0.5, None);
         let interleaved: Vec<bool> = (0..32)
             .map(|_| {
-                should_fail("t.b");
-                should_fail("t.a")
+                f.should_fail("t.b");
+                f.should_fail("t.a")
             })
             .collect();
         assert_eq!(solo, interleaved);
-        disable();
     }
 
     #[test]
     fn fail_point_macro_returns_typed_error() {
-        let _g = test_lock();
-        fn op() -> Result<u32, MemtreeError> {
-            crate::fail_point!("t.macro");
+        let f = Faults::default();
+        let op = || -> Result<u32, MemtreeError> {
+            crate::fail_point!(f, "t.macro");
             Ok(42)
-        }
-        enable(3);
-        arm("t.macro", 1.0, Some(1));
+        };
+        f.enable(3);
+        f.arm("t.macro", 1.0, Some(1));
         match op() {
             Err(MemtreeError::Injected { point }) => assert_eq!(point, "t.macro"),
             other => panic!("expected injected error, got {other:?}"),
         }
         assert_eq!(op(), Ok(42));
-        disable();
     }
 
     #[test]
@@ -332,18 +354,17 @@ mod tests {
     }
 
     #[test]
-    fn threads_share_the_registry_safely() {
-        let _g = test_lock();
-        enable(11);
-        arm("t.mt", 1.0, Some(1000));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                std::thread::spawn(|| (0..250).filter(|_| should_fail("t.mt")).count())
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    fn threads_share_a_plan_safely() {
+        let f = Faults::default();
+        f.enable(11);
+        f.arm("t.mt", 1.0, Some(1000));
+        let total: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..250).filter(|_| f.should_fail("t.mt")).count()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
         assert_eq!(total, 1000);
-        assert_eq!(trips("t.mt"), 1000);
-        disable();
+        assert_eq!(f.trips("t.mt"), 1000);
     }
 }

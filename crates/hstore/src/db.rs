@@ -6,6 +6,7 @@ use crate::row::{decode_tuples, encode_key, encode_tuples, row_bytes, Row, Val};
 use memtree_btree::BPlusTree;
 use memtree_common::error::MemtreeError;
 use memtree_compress::{decode_block, encode_block};
+use memtree_faults::Faults;
 use memtree_hybrid::{HybridBTree, HybridCompressedBTree, SecondaryIndex};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -122,6 +123,8 @@ struct AntiCache {
     quarantined: u64,
     evict_failures: u64,
     tuples_per_block: usize,
+    /// The fault plan of the `hstore.anticache.*` points.
+    faults: Faults,
 }
 
 /// Memory and anti-caching statistics (the Table 1.1 / Figure 5.11 view).
@@ -198,7 +201,14 @@ impl Database {
             quarantined: 0,
             evict_failures: 0,
             tuples_per_block: 256,
+            faults: Faults::default(),
         });
+    }
+
+    /// The anti-cache's fault plan (`None` while anti-caching is off): arm
+    /// the `hstore.anticache.*` points here.
+    pub fn anticache_faults(&self) -> Option<&Faults> {
+        self.anti.as_ref().map(|a| &a.faults)
     }
 
     /// Registers a table; returns its id.
@@ -446,7 +456,7 @@ impl Database {
         // The simulated storage read is retried on transient failure
         // (injected via `hstore.anticache.fetch`).
         let mut attempt = 1;
-        while memtree_faults::should_fail(FP_ANTICACHE_FETCH) {
+        while anti.faults.should_fail(FP_ANTICACHE_FETCH) {
             if attempt >= FETCH_MAX_ATTEMPTS {
                 return Err(MemtreeError::Injected {
                     point: FP_ANTICACHE_FETCH.to_string(),
@@ -511,10 +521,9 @@ impl Database {
             // An eviction round that fails here aborts before any slot or
             // block is touched — memory stays over budget (recorded in
             // `evict_failures`) but no data is lost or half-moved.
-            if memtree_faults::should_fail(FP_ANTICACHE_EVICT) {
-                if let Some(anti) = self.anti.as_mut() {
-                    anti.evict_failures += 1;
-                }
+            let fail = self.anti.as_mut().filter(|a| a.faults.should_fail(FP_ANTICACHE_EVICT));
+            if let Some(anti) = fail {
+                anti.evict_failures += 1;
                 return;
             }
             let victim_table = self
@@ -560,7 +569,7 @@ impl Database {
             }
             // Serialize, compress, and checksum-frame the block image.
             let mut frame = encode_block(&encode_tuples(&batch));
-            if memtree_faults::should_fail(FP_ANTICACHE_CORRUPT) {
+            if self.anti.as_ref().is_some_and(|a| a.faults.should_fail(FP_ANTICACHE_CORRUPT)) {
                 // Simulated storage corruption: damage a payload byte.
                 // The CRC catches it at fetch time.
                 let at = frame.len() / 2;

@@ -11,7 +11,7 @@
 use memtree_common::check::Gen;
 use memtree_common::error::MemtreeError;
 use memtree_compress::decode_block;
-use memtree_faults as faults;
+use memtree_faults::{seed_range, Faults};
 use memtree_hstore::db::{
     Database, IndexChoice, FP_ANTICACHE_CORRUPT, FP_ANTICACHE_EVICT, FP_ANTICACHE_FETCH,
 };
@@ -27,6 +27,11 @@ fn small_db(threshold: usize) -> Database {
     db
 }
 
+/// The anti-cache's fault plan (every test database has anti-caching on).
+fn faults(db: &Database) -> &Faults {
+    db.anticache_faults().expect("anti-caching is on")
+}
+
 fn row_for(id: i64, g: &mut Gen) -> Row {
     vec![
         Val::I64(id),
@@ -35,11 +40,15 @@ fn row_for(id: i64, g: &mut Gen) -> Row {
     ]
 }
 
-/// One differential run. The model only applies a mutation when the
-/// database reports success, so injected failures must not desynchronize.
+/// One differential run with fetch (0.25) and eviction (0.10) faults
+/// armed. The model only applies a mutation when the database reports
+/// success, so injected failures must not desynchronize.
 fn run_differential(seed: u64) -> Result<(), String> {
     let mut g = Gen::new(seed ^ 0xD1FF);
     let mut db = small_db(200 << 10);
+    faults(&db).enable(seed);
+    faults(&db).arm(FP_ANTICACHE_FETCH, 0.25, None);
+    faults(&db).arm(FP_ANTICACHE_EVICT, 0.10, None);
     let t = db.table_id("items");
     let pk = db.unique_id("items_pk");
     let mut model: BTreeMap<i64, Row> = BTreeMap::new();
@@ -129,7 +138,7 @@ fn run_differential(seed: u64) -> Result<(), String> {
     }
 
     // Faults off: every surviving row must read back exactly.
-    faults::disable();
+    faults(&db).disable();
     for (id, want) in &model {
         let Some(s) = db.get_unique(pk, &[Val::I64(*id)]).unwrap() else {
             return Err(format!("seed {seed}: post-run lost pk {id}"));
@@ -145,23 +154,19 @@ fn run_differential(seed: u64) -> Result<(), String> {
 
 #[test]
 fn differential_under_injected_anticache_faults_32_seeds() {
-    let _guard = faults::test_lock();
-    for seed in 0..32u64 {
-        faults::enable(seed);
-        faults::arm(FP_ANTICACHE_FETCH, 0.25, None);
-        faults::arm(FP_ANTICACHE_EVICT, 0.10, None);
+    for seed in seed_range() {
         if let Err(msg) = run_differential(seed) {
-            faults::disable();
             panic!("{msg}");
         }
     }
-    faults::disable();
 }
 
 /// Builds a database whose anti-cache holds at least one live block, and
-/// returns (db, table, pk index, highest id loaded).
-fn evicted_db() -> (Database, usize, usize, i64) {
+/// returns (db, table, pk index, highest id loaded). `arm` sets up the
+/// anti-cache's fault plan before the load.
+fn evicted_db(arm: impl FnOnce(&Faults)) -> (Database, usize, usize, i64) {
     let mut db = small_db(60 << 10);
+    arm(faults(&db));
     let t = db.table_id("items");
     let pk = db.unique_id("items_pk");
     let mut g = Gen::new(0xB10C);
@@ -174,9 +179,7 @@ fn evicted_db() -> (Database, usize, usize, i64) {
 
 #[test]
 fn every_bit_flip_in_an_anticache_block_is_detected() {
-    let _guard = faults::test_lock();
-    faults::disable();
-    let (db, ..) = evicted_db();
+    let (db, ..) = evicted_db(|_| {});
     // Exhaustively damage the actual stored image of a live block: every
     // single-bit flip must surface as a Corruption error from the frame
     // decoder — never a successful decode of different bytes.
@@ -202,9 +205,7 @@ fn every_bit_flip_in_an_anticache_block_is_detected() {
 
 #[test]
 fn corrupted_block_is_quarantined_and_only_its_tuples_fail() {
-    let _guard = faults::test_lock();
-    faults::disable();
-    let (mut db, t, pk, n) = evicted_db();
+    let (mut db, t, pk, n) = evicted_db(|_| {});
     let damaged = db.corrupt_anticache_block(17, 0x20).expect("a live block");
 
     let mut quarantined_errors = 0;
@@ -244,11 +245,11 @@ fn corrupted_block_is_quarantined_and_only_its_tuples_fail() {
 
 #[test]
 fn injected_corruption_at_eviction_time_quarantines() {
-    let _guard = faults::test_lock();
-    faults::enable(0xC0);
-    faults::arm(FP_ANTICACHE_CORRUPT, 1.0, Some(1)); // damage exactly one block
-    let (mut db, t, pk, n) = evicted_db();
-    faults::disable();
+    let (mut db, t, pk, n) = evicted_db(|f| {
+        f.enable(0xC0);
+        f.arm(FP_ANTICACHE_CORRUPT, 1.0, Some(1)); // damage exactly one block
+    });
+    faults(&db).disable();
     let mut outcomes = (0, 0);
     for id in 0..n {
         let slot = db.get_unique(pk, &[Val::I64(id)]).unwrap().expect("pk");
@@ -265,10 +266,8 @@ fn injected_corruption_at_eviction_time_quarantines() {
 
 #[test]
 fn transient_fetch_faults_are_retried() {
-    let _guard = faults::test_lock();
-    faults::enable(0xF3);
-    let (mut db, t, pk, _) = evicted_db();
-    faults::arm(FP_ANTICACHE_FETCH, 1.0, Some(2)); // two failures, then heal
+    let (mut db, t, pk, _) = evicted_db(|f| f.enable(0xF3));
+    faults(&db).arm(FP_ANTICACHE_FETCH, 1.0, Some(2)); // two failures, then heal
     // Find an evicted tuple by probing ids until a read triggers a fetch.
     let before = db.stats().fetches;
     let mut fetched = false;
@@ -283,5 +282,5 @@ fn transient_fetch_faults_are_retried() {
     }
     assert!(fetched, "no fetch was exercised");
     assert_eq!(db.stats().fetch_retries, 2);
-    faults::disable();
+    faults(&db).disable();
 }

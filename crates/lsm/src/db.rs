@@ -768,8 +768,8 @@ impl Db {
             // are written but unreferenced — a crash here leaves orphans
             // for recovery's GC, the exact scenario the crash oracle's
             // `lsm.flush.filter_block` point exercises.
-            fail_point!("lsm.flush.filter_block");
-            fail_point!("lsm.flush.sync");
+            fail_point!(self.view.disk.faults(), "lsm.flush.filter_block");
+            fail_point!(self.view.disk.faults(), "lsm.flush.sync");
             self.view.disk.sync();
             self.manifest.borrow_mut().append(
                 &self.view.disk,
@@ -795,7 +795,7 @@ impl Db {
         self.mem_tombstones = 0;
         let mut wal_bytes = 0u64;
         if self.opts.wal {
-            fail_point!("lsm.wal.reset");
+            fail_point!(self.view.disk.faults(), "lsm.wal.reset");
             wal_bytes = self.view.disk.file_len(self.wal.file()) as u64;
             self.view.disk.truncate_file(self.wal.file(), 0);
             self.view.disk.sync();
@@ -912,7 +912,7 @@ impl Db {
     /// One merge at `level` (the body of a [`Db::compact_step`]).
     fn compact_at(&mut self, level: usize) -> Result<()> {
         {
-            fail_point!("lsm.compact.begin");
+            fail_point!(self.view.disk.faults(), "lsm.compact.begin");
             if self.view.levels.len() == level + 1 {
                 self.view.levels.push(Vec::new());
             }
@@ -990,7 +990,7 @@ impl Db {
                     )?);
                     next_id += 1;
                 }
-                fail_point!("lsm.compact.sync");
+                fail_point!(self.view.disk.faults(), "lsm.compact.sync");
                 self.view.disk.sync();
                 let mut edits: Vec<Edit> = victim_ids
                     .iter()
@@ -2346,7 +2346,6 @@ mod tests {
 
     #[test]
     fn quarantine_degrades_reads_without_panic() {
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 0,
@@ -2358,10 +2357,10 @@ mod tests {
         db.flush().unwrap();
         // Corrupt every read of one table's first block: first get trips
         // the retry (counted), persistent failure quarantines.
-        memtree_faults::enable(7);
-        memtree_faults::arm("lsm.disk.read_corrupt", 1.0, None);
+        db.view.disk.faults().enable(7);
+        db.view.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None, "quarantined block reads as absent");
-        memtree_faults::disable();
+        db.view.disk.faults().disable();
         let s = db.io_stats();
         assert_eq!(s.quarantined_blocks, 1);
         // After disarming, *other* blocks still serve.
@@ -2377,7 +2376,6 @@ mod tests {
 
     #[test]
     fn compaction_rescues_quarantined_block_when_reread_is_clean() {
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 0,
@@ -2391,10 +2389,10 @@ mod tests {
         db.flush().unwrap();
         // Wire-level rot on every read quarantines the first block; the
         // stored bytes underneath are untouched.
-        memtree_faults::enable(7);
-        memtree_faults::arm("lsm.disk.read_corrupt", 1.0, None);
+        db.view.disk.faults().enable(7);
+        db.view.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None);
-        memtree_faults::disable();
+        db.view.disk.faults().disable();
         assert_eq!(db.io_stats().quarantined_blocks, 1);
         let repairs_before = db.io_stats().read_repairs;
         // Compacting the table re-reads the quarantined block; the clean
@@ -2543,7 +2541,6 @@ mod tests {
 
     #[test]
     fn quarantine_persists_across_reopen_and_degrades_filters() {
-        let _g = memtree_faults::test_lock();
         let opts = DbOptions {
             memtable_bytes: 1 << 20,
             cache_blocks: 0,
@@ -2557,10 +2554,10 @@ mod tests {
         db.flush().unwrap();
         // Persistent corruption on key 0's block: the read path
         // quarantines it and records the quarantine in the manifest.
-        memtree_faults::enable(11);
-        memtree_faults::arm("lsm.disk.read_corrupt", 1.0, None);
+        db.view.disk.faults().enable(11);
+        db.view.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None);
-        memtree_faults::disable();
+        db.view.disk.faults().disable();
         assert_eq!(db.io_stats().quarantined_blocks, 1);
         let disk = db.close().unwrap();
         let db = Db::open(disk, opts).unwrap();
@@ -2578,7 +2575,6 @@ mod tests {
 
     #[test]
     fn transient_read_faults_heal_without_quarantine() {
-        let _g = memtree_faults::test_lock();
         let db = {
             let mut db = Db::new(DbOptions {
                 memtable_bytes: 1 << 20,
@@ -2591,8 +2587,8 @@ mod tests {
             db.flush().unwrap();
             db
         };
-        memtree_faults::enable(23);
-        memtree_faults::arm("lsm.disk.read_transient", 0.25, None);
+        db.view.disk.faults().enable(23);
+        db.view.disk.faults().arm("lsm.disk.read_transient", 0.25, None);
         for i in (0..2000u64).step_by(37) {
             assert_eq!(
                 db.get(&encode_u64(i)),
@@ -2600,7 +2596,7 @@ mod tests {
                 "transient fault leaked to a query answer at key {i}"
             );
         }
-        memtree_faults::disable();
+        db.view.disk.faults().disable();
         let s = db.io_stats();
         assert!(s.transient_retries > 0, "no transient was ever injected");
         assert_eq!(s.quarantined_blocks, 0, "transient faults must never quarantine");

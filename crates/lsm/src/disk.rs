@@ -31,6 +31,13 @@
 //!
 //! ## Fault classes beyond power loss
 //!
+//! Every disk fault is armed through the disk: the fault points below
+//! live in the disk's own [`Faults`] plan ([`SimDisk::faults`]), and the
+//! other classes have setters on the disk. The engine code that writes
+//! through a disk (`Db`, the WAL, the manifest, SSTable builds, scrub, the
+//! serve workers) evaluates its crashpoints through the same plan, so a
+//! fault armed on one disk never fires on another.
+//!
 //! * **Latent corruption** ([`SimDisk::bitrot_block`] /
 //!   [`SimDisk::bitrot_file`]): a seeded bit flip in *durable* content —
 //!   damage that lands after a successful `sync`, which CRC framing detects
@@ -57,6 +64,7 @@
 //! process that never crashes observes its own unsynced writes.
 
 use memtree_common::error::{MemtreeError, Result};
+use memtree_faults::{fail_point, Faults};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -250,10 +258,12 @@ pub struct SimDisk {
     slow_delay_us: AtomicU64,
     /// Optional seeded latency profile.
     slow: Mutex<Option<SlowState>>,
+    /// The fault plan of this disk and of the engine code writing to it.
+    faults: Faults,
 }
 
 /// Fixed virtual delay added per firing of the `lsm.disk.slow_io` fail
-/// point (a storm armed through the faults registry, probability- and
+/// point (a storm armed through [`SimDisk::faults`], probability- and
 /// budget-controlled like every other fault class).
 const SLOW_IO_STORM_US: u64 = 800;
 
@@ -278,7 +288,14 @@ impl SimDisk {
             clock_us: AtomicU64::new(0),
             slow_delay_us: AtomicU64::new(0),
             slow: Mutex::new(None),
+            faults: Faults::default(),
         }
+    }
+
+    /// The disk's fault plan: arm `lsm.disk.*` points here, and the
+    /// `lsm.*` / `serve.*` crashpoints of the engine using this disk.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// The virtual clock, in microseconds. Monotone; ticks at least once
@@ -323,7 +340,7 @@ impl SimDisk {
                 }
             }
         }
-        if memtree_faults::should_fail("lsm.disk.slow_io") {
+        if self.faults.should_fail("lsm.disk.slow_io") {
             delay += SLOW_IO_STORM_US;
         }
         if delay > 0 {
@@ -358,7 +375,7 @@ impl SimDisk {
     /// Fails typed — and allocates nothing — on `Enospc` or an armed
     /// `lsm.disk.write_fault`.
     pub fn write(&self, data: Box<[u8]>) -> Result<u32> {
-        memtree_faults::fail_point!("lsm.disk.write_fault");
+        fail_point!(self.faults, "lsm.disk.write_fault");
         let mut st = self.st();
         st.check_capacity("block-write", data.len())?;
         self.writes.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +409,7 @@ impl SimDisk {
         // Transient media fault: the stored bytes are intact; the caller
         // may retry. Evaluated before the corrupting fault so the two
         // classes exercise distinct read-path reactions.
-        if memtree_faults::should_fail("lsm.disk.read_transient") {
+        if self.faults.should_fail("lsm.disk.read_transient") {
             return Err(MemtreeError::TransientIo { context: "sim-disk" });
         }
         let st = self.st();
@@ -426,7 +443,7 @@ impl SimDisk {
         // Injection point for media errors: corrupts this read's returned
         // bytes only (the stored block is untouched), so a retry can
         // succeed — exercises the Db quarantine-and-read-repair path.
-        if memtree_faults::should_fail("lsm.disk.read_corrupt") {
+        if self.faults.should_fail("lsm.disk.read_corrupt") {
             let n = data.len();
             if n > 0 {
                 data[n / 2] ^= 0x40;
@@ -847,18 +864,55 @@ mod tests {
 
     #[test]
     fn transient_read_fault_is_typed_and_heals_on_retry() {
-        let _g = memtree_faults::test_lock();
         let d = SimDisk::new(Duration::ZERO);
         let a = d.write(Box::from(&b"payload"[..])).unwrap();
         d.sync();
-        memtree_faults::enable(5);
-        memtree_faults::arm("lsm.disk.read_transient", 1.0, Some(1));
+        d.faults().enable(5);
+        d.faults().arm("lsm.disk.read_transient", 1.0, Some(1));
         match d.read(a) {
             Err(e) => assert!(e.is_transient(), "typed transient, got {e:?}"),
             Ok(_) => panic!("armed transient fault must fire"),
         }
         assert_eq!(&*d.read(a).unwrap(), b"payload", "retry heals");
-        memtree_faults::disable();
+        d.faults().disable();
+    }
+
+    #[test]
+    fn armed_fault_fires_only_on_its_own_disk() {
+        // Two disks in two threads and no lock: a point armed on disk A
+        // (always fire, no budget) must never reach disk B's reads.
+        const POINT: &str = "lsm.disk.read_transient";
+        let armed = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (a_trips, b_failures, b_counts) = std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                let d = SimDisk::new(Duration::ZERO);
+                let id = d.write(Box::from(&b"a"[..])).unwrap();
+                d.faults().enable(1);
+                d.faults().arm(POINT, 1.0, None);
+                armed.wait();
+                loop {
+                    assert!(d.read(id).is_err(), "armed disk must fail every read");
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                }
+                d.faults().trips(POINT)
+            });
+            let b = s.spawn(|| {
+                let d = SimDisk::new(Duration::ZERO);
+                let id = d.write(Box::from(&b"b"[..])).unwrap();
+                armed.wait();
+                let failures = (0..10_000).filter(|_| d.read(id).is_err()).count();
+                done.store(true, Ordering::Relaxed);
+                (failures, (d.faults().trips(POINT), d.faults().evaluations(POINT)))
+            });
+            let (b_failures, b_counts) = b.join().unwrap();
+            (a.join().unwrap(), b_failures, b_counts)
+        });
+        assert_eq!(b_failures, 0, "disk B saw disk A's armed fault");
+        assert!(a_trips > 0, "disk A's point never fired");
+        assert_eq!(b_counts, (0, 0), "disk B's plan was never evaluated while armed");
     }
 
     #[test]
@@ -917,16 +971,15 @@ mod tests {
 
     #[test]
     fn slow_io_fail_point_adds_storm_delay() {
-        let _g = memtree_faults::test_lock();
         let d = SimDisk::new(Duration::ZERO);
         let a = d.write(Box::from(&b"x"[..])).unwrap();
         d.sync();
-        memtree_faults::enable(3);
-        memtree_faults::arm("lsm.disk.slow_io", 1.0, Some(2));
+        d.faults().enable(3);
+        d.faults().arm("lsm.disk.slow_io", 1.0, Some(2));
         let t0 = d.now_us();
         d.read(a).unwrap();
         assert!(d.now_us() >= t0 + SLOW_IO_STORM_US, "armed point slows the read");
-        memtree_faults::disable();
+        d.faults().disable();
         let t1 = d.now_us();
         d.read(a).unwrap();
         assert!(d.now_us() < t1 + SLOW_IO_STORM_US, "disarmed point is fast");

@@ -218,10 +218,6 @@ mod tests {
 
     #[test]
     fn snapshot_survives_compaction_of_its_tables() {
-        // Serialize with fault-arming tests: an armed read_corrupt window
-        // in a sibling test corrupts this test's uncached compaction and
-        // snapshot reads (the registry is process-global).
-        let _g = memtree_faults::test_lock();
         let mut db = Db::new(small_opts());
         for i in 0..400u64 {
             db.put(&encode_u64(i), &[i as u8; 16]).unwrap();

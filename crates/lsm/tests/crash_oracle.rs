@@ -22,7 +22,7 @@
 //! so CI can shard the matrix across jobs.
 
 use memtree_common::error::MemtreeError;
-use memtree_faults as faults;
+use memtree_faults::seed_range;
 use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, StallConfig};
 use std::collections::BTreeMap;
 
@@ -43,19 +43,6 @@ const CRASHPOINTS: [&str; 11] = [
     "lsm.compact.begin",
     "lsm.compact.sync",
 ];
-
-fn seed_range() -> std::ops::Range<u64> {
-    let spec = std::env::var("MEMTREE_FAULT_SEEDS").unwrap_or_else(|_| "0..32".to_string());
-    let (lo, hi) = spec
-        .split_once("..")
-        .unwrap_or_else(|| panic!("MEMTREE_FAULT_SEEDS must look like '0..32', got {spec:?}"));
-    let parse = |s: &str| {
-        s.trim()
-            .parse::<u64>()
-            .unwrap_or_else(|e| panic!("bad bound {s:?} in MEMTREE_FAULT_SEEDS: {e}"))
-    };
-    parse(lo)..parse(hi)
-}
 
 fn opts_for(seed: u64) -> DbOptions {
     DbOptions {
@@ -122,11 +109,12 @@ fn assert_matches_model(db: &Db, model: &BTreeMap<Vec<u8>, Vec<u8>>, ctx: &str) 
 fn run_case(point: &str, seed: u64) -> bool {
     let opts = opts_for(seed);
     let mut db = Db::new(opts.clone());
+    let disk = db.disk_handle();
     // Probability tiers: always / often / rarely — late firings crash in
     // deeper states (mid-compaction chains) than first-call firings.
     let probability = [1.0, 0.3, 0.05][(seed % 3) as usize];
-    faults::enable(seed);
-    faults::arm(point, probability, Some(1));
+    disk.faults().enable(seed);
+    disk.faults().arm(point, probability, Some(1));
 
     // ~2000 puts of ~15 bytes against a 2 KiB memtable: ≈15 flushes and a
     // steady stream of compactions, so every point gets many evaluations.
@@ -149,11 +137,10 @@ fn run_case(point: &str, seed: u64) -> bool {
             }
         }
     }
-    let fired = faults::trips(point) > 0;
-    faults::disable();
+    let fired = disk.faults().trips(point) > 0;
+    disk.faults().disable();
 
     let acked = db.last_synced_seq();
-    let disk = db.disk_handle();
     drop(db);
     let tear = if seed % 2 == 0 { Some(seed.wrapping_mul(0x9E37_79B9)) } else { None };
     disk.crash(tear);
@@ -199,7 +186,6 @@ fn run_case(point: &str, seed: u64) -> bool {
 
 #[test]
 fn every_crashpoint_recovers_the_acknowledged_prefix() {
-    let _guard = faults::test_lock();
     let seeds = seed_range();
     assert!(!seeds.is_empty(), "empty MEMTREE_FAULT_SEEDS range");
     for point in CRASHPOINTS {
@@ -224,7 +210,6 @@ fn crash_during_recovery_is_survivable() {
     // Double-fault: the first recovery itself is interrupted (rotation and
     // CURRENT swap are on the recovery path), then a second recovery runs
     // clean. Nothing acknowledged may be lost across the pile-up.
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = opts_for(seed);
         let mut db = Db::new(opts.clone());
@@ -241,10 +226,10 @@ fn crash_during_recovery_is_survivable() {
         disk.crash(if seed % 2 == 0 { Some(seed) } else { None });
 
         let point = ["lsm.manifest.rotate", "lsm.current.swap"][(seed % 2) as usize];
-        faults::enable(seed);
-        faults::arm(point, 1.0, Some(1));
+        disk.faults().enable(seed);
+        disk.faults().arm(point, 1.0, Some(1));
         let first = Db::open(disk.clone(), opts.clone());
-        faults::disable();
+        disk.faults().disable();
         if let Ok(db) = first {
             // Rotation fired after its durable work or never evaluated;
             // either way this handle is fully recovered.
@@ -270,7 +255,6 @@ fn crash_during_recovery_is_survivable() {
 /// acknowledged prefix.
 #[test]
 fn stall_bands_reject_typed_then_drain_and_recover_across_crash() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = DbOptions {
             stall: StallConfig {
@@ -345,7 +329,6 @@ fn stall_bands_reject_typed_then_drain_and_recover_across_crash() {
 /// compaction policies.
 #[test]
 fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = DbOptions {
             // Force a filter (a filterless config has no image to rot).
@@ -393,7 +376,6 @@ fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
 /// value here.
 #[test]
 fn deleted_keys_stay_dead_across_crash_and_compaction() {
-    let _guard = faults::test_lock();
     for seed in seed_range() {
         let opts = opts_for(seed);
         let mut db = Db::new(opts.clone());

@@ -30,8 +30,8 @@ cargo run -p memtree-bench --release --offline --bin bench_faults -- --smoke
 echo "== bench_serve --smoke (sharded serving: YCSB clients, p99, plausibility gates, offline) =="
 cargo run -p memtree-bench --release --offline --bin bench_serve -- --smoke
 
-echo "== concurrent suites with RUST_TEST_THREADS=4 (lsm + serve under real parallelism, offline) =="
-RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve
+echo "== concurrent suites with RUST_TEST_THREADS=4 (lsm + serve + hybrid + hstore under real parallelism, offline) =="
+RUST_TEST_THREADS=4 cargo test -q --offline -p memtree-lsm -p memtree-serve -p memtree-hybrid -p memtree-hstore
 
 echo "== crash + scrub oracles (seeds ${MEMTREE_FAULT_SEEDS:-0..32}, leveled+tiered by seed parity, offline) =="
 cargo test -q --offline -p memtree-lsm --test crash_oracle --test wal_frames --test scrub_oracle
