@@ -256,7 +256,7 @@ fn bench_degraded_reads(cfg: &Config) -> DegradedLine {
     let picks: Vec<u64> = (0..cfg.n_reads).map(|_| z.next_scrambled() as u64).collect();
 
     let db = Db::open(disk.clone(), lsm_opts(FilterKind::Bloom(14.0))).expect("healthy reopen");
-    assert_eq!(db.degraded_tables(), 0, "healthy database opened degraded");
+    assert_eq!(db.open_report().degraded_tables, 0, "healthy database opened degraded");
     let filter_images = db.filter_block_ids();
     let healthy = best(|| {
         let mut hits = 0usize;
@@ -280,7 +280,7 @@ fn bench_degraded_reads(cfg: &Config) -> DegradedLine {
         .expect("no live data blocks");
     disk.bitrot_block(victim, 42).expect("bitrot");
     let db = Db::open(disk, lsm_opts(FilterKind::Bloom(14.0))).expect("degraded reopen");
-    assert!(db.degraded_tables() > 0, "corruption did not degrade any table");
+    assert!(db.open_report().degraded_tables > 0, "corruption did not degrade any table");
     let degraded = best(|| {
         let mut hits = 0usize;
         for &i in &picks {
@@ -293,7 +293,7 @@ fn bench_degraded_reads(cfg: &Config) -> DegradedLine {
         healthy_mops: mops(cfg.n_reads, healthy),
         degraded_mops: mops(cfg.n_reads, degraded),
         tax_pct: pct_overhead(mops(cfg.n_reads, healthy), mops(cfg.n_reads, degraded)).abs(),
-        degraded_tables: db.degraded_tables(),
+        degraded_tables: db.open_report().degraded_tables,
     };
     println!(
         "degraded reads   healthy {:.3} Mops/s   degraded {:.3} Mops/s   tax {:.1}%  ({} table filterless)",

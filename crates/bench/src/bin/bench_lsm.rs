@@ -28,7 +28,7 @@
 
 use memtree_bench::{bench_args, mops, time, write_report};
 use memtree_common::key::encode_u64;
-use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, FilterStats, SeekResult};
+use memtree_lsm::{CompactionConfig, Db, DbOptions, FilterKind, SeekResult};
 use std::time::Duration;
 
 struct Config {
@@ -177,17 +177,24 @@ fn check_differential(db: &Db, name: &str, probes: &[[u8; 8]]) {
 
 struct Counters {
     block_reads: u64,
-    filter: FilterStats,
+    probe_passes: u64,
+    keys_probed: u64,
 }
 
-/// Runs `f` once with counters zeroed and returns what it cost.
+/// Device block reads so far (measure a phase as a difference).
+fn block_reads(db: &Db) -> u64 {
+    db.disk_handle().stats().block_reads
+}
+
+/// Runs `f` once and returns what it cost, as before/after deltas.
 fn counted<F: FnOnce()>(db: &Db, f: F) -> Counters {
-    db.reset_io_stats();
-    db.reset_filter_stats();
+    let (reads0, s0) = (block_reads(db), db.stats());
     f();
+    let s = db.stats();
     Counters {
-        block_reads: db.io_stats().block_reads,
-        filter: db.filter_stats(),
+        block_reads: block_reads(db) - reads0,
+        probe_passes: s.filter_probe_passes - s0.filter_probe_passes,
+        keys_probed: s.filter_keys_probed - s0.filter_keys_probed,
     }
 }
 
@@ -251,12 +258,12 @@ fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str) -> KindRepor
     };
     println!(
         "{name:<14} {} tables  per-key {:>8.3} Mops/s  {:>7} reads  {:>7} passes",
-        report.tables, report.per_key_mops, report.per_key.block_reads, report.per_key.filter.probe_passes
+        report.tables, report.per_key_mops, report.per_key.block_reads, report.per_key.probe_passes
     );
     for b in &report.batches {
         println!(
             "{:<14} batch {:>3}  {:>8.3} Mops/s  {:>7} reads  {:>7} passes  ({:.2}x)",
-            "", b.batch, b.mops, b.c.block_reads, b.c.filter.probe_passes, b.mops / report.per_key_mops
+            "", b.batch, b.mops, b.c.block_reads, b.c.probe_passes, b.mops / report.per_key_mops
         );
     }
     report
@@ -264,7 +271,7 @@ fn bench_kind(cfg: &Config, filter: FilterKind, name: &'static str) -> KindRepor
 
 fn enforce_gates(reports: &[KindReport]) {
     for r in reports {
-        let has_filter = r.per_key.filter.keys_probed > 0;
+        let has_filter = r.per_key.keys_probed > 0;
         for b in &r.batches {
             assert!(
                 b.c.block_reads <= r.per_key.block_reads,
@@ -273,15 +280,15 @@ fn enforce_gates(reports: &[KindReport]) {
             );
             if has_filter {
                 assert_eq!(
-                    b.c.filter.keys_probed, r.per_key.filter.keys_probed,
+                    b.c.keys_probed, r.per_key.keys_probed,
                     "{}: batch {} probed a different key set through the filters",
                     r.name, b.batch
                 );
                 if b.batch >= 64 {
                     assert!(
-                        b.c.filter.probe_passes < r.per_key.filter.probe_passes,
+                        b.c.probe_passes < r.per_key.probe_passes,
                         "{}: batch {} should need strictly fewer filter passes ({} vs {})",
-                        r.name, b.batch, b.c.filter.probe_passes, r.per_key.filter.probe_passes
+                        r.name, b.batch, b.c.probe_passes, r.per_key.probe_passes
                     );
                 }
             }
@@ -339,7 +346,7 @@ fn bench_policy(cfg: &Config, compaction: CompactionConfig, name: &'static str) 
         ..Default::default()
     });
     let n = cfg.n_keys as u64;
-    db.reset_io_stats();
+    let writes0 = db.disk_handle().stats().block_writes;
     let mut probes = 0u64;
     let mut probe_reads = 0u64;
     for round in 0..2u8 {
@@ -347,18 +354,18 @@ fn bench_policy(cfg: &Config, compaction: CompactionConfig, name: &'static str) 
         for i in 0..n {
             db.put(&stored_key((i * 7919) % n), &val).unwrap();
             if i % 64 == 63 {
-                let before = db.io_stats().block_reads;
+                let before = block_reads(&db);
                 assert!(
                     db.get(&negative_key((i * 13) % n)).is_none(),
                     "{name}: negative probe unexpectedly hit"
                 );
-                probe_reads += db.io_stats().block_reads - before;
+                probe_reads += block_reads(&db) - before;
                 probes += 1;
             }
         }
     }
     db.flush().unwrap();
-    let block_writes = db.io_stats().block_writes;
+    let block_writes = db.disk_handle().stats().block_writes - writes0;
     let block_size = DbOptions::default().block_size as f64;
     // User payload: 2 generations of (8-byte key + 10-byte value).
     let user_bytes = (2 * n * 18) as f64;
@@ -420,12 +427,12 @@ fn write_json(cfg: &Config, reports: &[KindReport], policies: &[PolicyReport]) {
         json.push_str(&format!(
             "    {{\n      \"kind\": \"{}\",\n      \"tables\": {},\n      \"per_key\": {{ \"mops\": {:.3}, \"block_reads\": {}, \"probe_passes\": {}, \"keys_probed\": {} }},\n      \"batches\": [\n",
             r.name, r.tables, r.per_key_mops, r.per_key.block_reads,
-            r.per_key.filter.probe_passes, r.per_key.filter.keys_probed
+            r.per_key.probe_passes, r.per_key.keys_probed
         ));
         for (j, b) in r.batches.iter().enumerate() {
             json.push_str(&format!(
                 "        {{ \"batch\": {}, \"mops\": {:.3}, \"block_reads\": {}, \"probe_passes\": {}, \"keys_probed\": {} }}{}\n",
-                b.batch, b.mops, b.c.block_reads, b.c.filter.probe_passes, b.c.filter.keys_probed,
+                b.batch, b.mops, b.c.block_reads, b.c.probe_passes, b.c.keys_probed,
                 if j + 1 < r.batches.len() { "," } else { "" }
             ));
         }

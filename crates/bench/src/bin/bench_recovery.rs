@@ -92,7 +92,7 @@ fn bench_wal_overhead(cfg: &Config) -> Vec<WalLine> {
             wal,
             group,
             mops: rate,
-            syncs: db.io_stats().syncs,
+            syncs: db.disk_handle().stats().syncs,
             wal_bytes: w.appended_bytes,
             logical_bytes: logical,
             write_amp: w.appended_bytes as f64 / logical as f64,
@@ -134,19 +134,19 @@ fn bench_recovery_time(cfg: &Config) -> Vec<RecoveryLine> {
             db.put(&key_of(i), VALUE).unwrap();
         }
         let disk = db.close().expect("clean close");
-        disk.reset_stats();
+        let reads0 = disk.stats().block_reads;
         let mut reopened = None;
         let elapsed = time(|| {
             reopened = Some(Db::open(disk.clone(), o.clone()).expect("clean reopen"));
         });
         let db = reopened.unwrap();
-        let w = db.wal_stats();
+        let report = db.open_report();
         assert_eq!(
-            w.replayed_records, 0,
+            report.wal_records_replayed, 0,
             "{kind}: clean shutdown must replay zero WAL records"
         );
         let tables: usize = db.level_sizes().iter().sum();
-        let block_reads = db.io_stats().block_reads;
+        let block_reads = disk.stats().block_reads - reads0;
         assert!(
             block_reads <= 2 * tables as u64,
             "{kind}: reopen read {block_reads} blocks for {tables} tables — \
@@ -154,18 +154,18 @@ fn bench_recovery_time(cfg: &Config) -> Vec<RecoveryLine> {
         );
         if !matches!(filter, FilterKind::None) {
             assert_eq!(
-                db.filters_loaded() as usize, tables,
+                report.filters_loaded as usize, tables,
                 "{kind}: every filter should load from its persisted image"
             );
-            assert_eq!(db.filters_rebuilt(), 0, "{kind}: no filter should need a data-block rebuild");
+            assert_eq!(report.filters_rebuilt, 0, "{kind}: no filter should need a data-block rebuild");
         }
         let line = RecoveryLine {
             kind,
             open_ms: elapsed.as_secs_f64() * 1e3,
-            replayed: w.replayed_records,
+            replayed: report.wal_records_replayed,
             block_reads,
             tables: tables as u64,
-            filters_loaded: db.filters_loaded(),
+            filters_loaded: report.filters_loaded,
         };
         println!(
             "recover {kind:<11} {:>8.2} ms  {:>3} replayed  {:>7} block reads  ({} tables, {} filters from images)",
@@ -209,7 +209,7 @@ fn bench_torn_tail() -> TornReport {
 
     let db = Db::open(disk, o).expect("torn-tail recovery");
     let recovered = db.last_seq();
-    let w = db.wal_stats();
+    let report = db.open_report();
     assert!(
         recovered >= acked && recovered <= issued,
         "recovered {recovered} outside [acked {acked}, issued {issued}]"
@@ -235,8 +235,8 @@ fn bench_torn_tail() -> TornReport {
         acked,
         recovered,
         lost,
-        replayed: w.replayed_records,
-        torn_truncated: w.torn_tail_truncated,
+        replayed: report.wal_records_replayed,
+        torn_truncated: report.wal_torn_tail_truncated,
     };
     println!(
         "torn tail: issued {issued}, acked {acked}, recovered {recovered}, lost {lost} (< group {group})"

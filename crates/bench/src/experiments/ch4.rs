@@ -415,8 +415,12 @@ fn build_lsm(filter: FilterKind, scale: Scale, latency: Duration) -> (Db, Vec<[u
         keys.push(e.key());
     }
     db.flush().unwrap();
-    db.reset_io_stats();
     (db, keys)
+}
+
+/// Device block reads so far (measure a phase as a difference).
+fn block_reads(db: &Db) -> u64 {
+    db.disk_handle().stats().block_reads
 }
 
 /// Figure 4.8: LSM point queries and open seeks under each filter.
@@ -440,6 +444,7 @@ pub fn fig4_8(scale: Scale) {
         // actually consulted.
         let max_ts = u64::from_be_bytes(stored.last().unwrap()[..8].try_into().unwrap());
         let mut state = 5u64;
+        let r0 = block_reads(&db);
         let dp = time(|| {
             for _ in 0..q {
                 let ts = memtree_common::hash::splitmix64(&mut state) % max_ts;
@@ -450,8 +455,7 @@ pub fn fig4_8(scale: Scale) {
                 std::hint::black_box(db.get(&k));
             }
         });
-        let point_io = db.io_stats().block_reads;
-        db.reset_io_stats();
+        let r1 = block_reads(&db);
         // Open seeks from random timestamps.
         let ds = time(|| {
             for i in 0..q {
@@ -459,7 +463,7 @@ pub fn fig4_8(scale: Scale) {
                 std::hint::black_box(db.seek(&k, None));
             }
         });
-        let seek_io = db.io_stats().block_reads;
+        let (point_io, seek_io) = (r1 - r0, block_reads(&db) - r1);
         println!(
             "{:<12} {:>12.0} {:>10.3} {:>12.0} {:>10.3}",
             name,
@@ -494,6 +498,7 @@ pub fn fig4_9(scale: Scale) {
             let mut state = 3u64;
             let max_ts = u64::from_be_bytes(stored.last().unwrap()[..8].try_into().unwrap());
             let mut found = 0usize;
+            let r0 = block_reads(&db);
             let d = time(|| {
                 for _ in 0..q {
                     let base = memtree_common::hash::splitmix64(&mut state) % max_ts;
@@ -506,7 +511,7 @@ pub fn fig4_9(scale: Scale) {
                     }
                 }
             });
-            let io = db.io_stats().block_reads;
+            let io = block_reads(&db) - r0;
             println!(
                 "{:<10.0} {:<12} {:>12.0} {:>10.3}   (hit rate {:.0}%)",
                 pct_empty,

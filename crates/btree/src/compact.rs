@@ -347,7 +347,7 @@ impl BatchProbe for CompactBTree {
 
     /// Sorted-batch multi-scan: all range starts descend the sampled levels
     /// together (one separator binary-search per run of nearby lows via
-    /// [`Self::batch_lower_bound`]), then each range is a contiguous value
+    /// `batch_lower_bound`), then each range is a contiguous value
     /// slice — scans over a flat leaf array need no cursor at all.
     fn multi_scan(&self, ranges: &[(&[u8], usize)], out: &mut Vec<Vec<Value>>) {
         if self.len() == 0 || ranges.is_empty() {

@@ -24,8 +24,9 @@
 //!   [`cached!`] CPU-feature probe built on it.
 //! * [`clock`] — the CLOCK replacement ring behind the LSM block cache and
 //!   the compressed B+tree's block cache.
-//! * [`check`] — a deterministic, dependency-free property-test harness
-//!   (seeded generator + `prop_check`), replacing the external `proptest`.
+//! * [`check`](mod@check) — a deterministic, dependency-free property-test
+//!   harness (seeded generator + `prop_check`), replacing the external
+//!   `proptest`.
 //! * [`snapshot`] — [`SnapshotCell`], epoch-stamped `Arc`-swap snapshot
 //!   publication (readers never block behind writers).
 

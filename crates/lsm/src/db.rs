@@ -20,7 +20,7 @@
 //!   `fail_point!` below through crash + reopen across seeds.
 
 use crate::compaction::{CompactionConfig, CompactionPolicy};
-use crate::disk::{IoStats, SimDisk};
+use crate::disk::SimDisk;
 use crate::manifest::{Edit, Manifest, Version};
 use crate::sstable::{DecodedBlock, SsTable};
 use crate::wal::{wal_file_name, Wal, WalStats};
@@ -175,9 +175,13 @@ impl Default for DbOptions {
     }
 }
 
-/// Debt and overload counters exposed by [`Db::stats`]: what the stall
-/// bands measure and what they rejected. The serving layer samples this to
-/// drive admission control and its `stall` bench section.
+/// Every run-time counter of one [`Db`], sampled by [`Db::stats`]: the
+/// debt and overload numbers the stall bands measure and reject on, the
+/// Get paths' filter probes, and the read path's degradations. Counters
+/// run from open and are never reset; callers measure a phase as the
+/// difference of two samples. Open-time outcomes live in [`OpenReport`],
+/// device counters (block reads and writes, syncs) in
+/// [`IoStats`](crate::IoStats) — the disk may be shared by several `Db`s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbStats {
     /// Runs currently at level 0.
@@ -194,19 +198,19 @@ pub struct DbStats {
     /// Bounded compaction steps executed ([`Db::compact_step`], including
     /// the relief steps the bands run before rejecting).
     pub compact_steps: u64,
-}
-
-/// Point-filter probe counters, split so batched and per-key read paths
-/// can be compared: one `filter_may_contain_batch` over 64 keys is one
-/// *pass* probing 64 *keys*; a per-key loop over the same table is 64
-/// passes probing 64 keys. Only tables that actually carry a filter count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// Filter traversals started (one per `may_contain` call, one per
-    /// whole `may_contain_batch` call).
-    pub probe_passes: u64,
-    /// Keys answered across all passes.
-    pub keys_probed: u64,
+    /// Point-filter traversals started on the Get paths: one per
+    /// `may_contain` call, one per whole `may_contain_batch` call. One
+    /// batched probe over 64 keys is one pass; a per-key loop over the
+    /// same table is 64. Only tables that carry a filter count.
+    pub filter_probe_passes: u64,
+    /// Keys answered across those passes.
+    pub filter_keys_probed: u64,
+    /// Block decodes that failed once and succeeded on a re-read.
+    pub read_repairs: u64,
+    /// Reads retried after a transient I/O fault (healed, not quarantined).
+    pub transient_retries: u64,
+    /// Blocks currently quarantined after failing validation twice.
+    pub quarantined_blocks: u64,
 }
 
 /// What one [`Db::flush`] did — previously the flush was observably a
@@ -354,43 +358,43 @@ pub struct Db {
     /// the next flush / close).
     graveyard: Vec<Arc<SsTable>>,
     pub(crate) next_table_id: u64,
-    filter_stats: Cell<FilterStats>,
     wal: Wal,
     /// `RefCell` so the `&self` read path can persist quarantine edits.
     pub(crate) manifest: RefCell<Manifest>,
     /// WAL records at or below this seq are covered by flushed tables.
     pub(crate) flushed_seq: u64,
-    /// Block decodes that failed once and succeeded on re-read.
-    read_repairs: Cell<u64>,
-    /// Reads that hit a transient fault and were retried.
-    pub(crate) transient_retries: Cell<u64>,
-    /// Tables left filterless at open because a block was unreadable or
-    /// quarantined (a partial filter would give false negatives).
-    degraded_tables: Cell<u64>,
     /// The active compaction policy (instantiated from
     /// [`DbOptions::compaction`] / the manifest's persisted policy).
     policy: Box<dyn CompactionPolicy>,
-    /// Filters restored from persisted images at open (one block read
-    /// each — the O(tables) recovery fast path).
-    filters_loaded: Cell<u64>,
-    /// Filters rebuilt from data blocks at open (the O(data) fallback).
-    filters_rebuilt: Cell<u64>,
-    /// Persisted filter images that failed validation at open (fell back
-    /// to rebuild — never to a wrong filter).
-    filter_images_corrupt: Cell<u64>,
-    /// Writes rejected by the slowdown band since open.
-    backpressure_rejections: Cell<u64>,
-    /// Writes rejected by the stop band since open.
-    stall_rejections: Cell<u64>,
-    /// Bounded compaction steps executed since open.
-    compact_steps: Cell<u64>,
+    /// The counters behind [`Db::stats`] (see [`DbStats`]).
+    counters: Counters,
     /// What [`Db::open`] observed while recovering (see [`OpenReport`]).
     open_report: OpenReport,
 }
 
+/// The run-time counters behind [`DbStats`], bumped in place on the
+/// `&self` read path: plain `Cell`s, since a `Db` is never shared across
+/// threads.
+#[derive(Default)]
+struct Counters {
+    backpressure_rejections: Cell<u64>,
+    stall_rejections: Cell<u64>,
+    compact_steps: Cell<u64>,
+    filter_probe_passes: Cell<u64>,
+    filter_keys_probed: Cell<u64>,
+    read_repairs: Cell<u64>,
+    transient_retries: Cell<u64>,
+}
+
+/// Adds `n` to a [`Counters`] cell.
+fn bump(c: &Cell<u64>, n: u64) {
+    c.set(c.get() + n);
+}
+
 /// What [`Db::open`] observed while recovering, kept for the caller to
 /// inspect via [`Db::open_report`]. Recovery itself never fails on any of
-/// these — they are notes, not errors.
+/// these — they are notes, not errors. Fixed at open; run-time counters
+/// live in [`DbStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpenReport {
     /// `Some((requested, persisted))` when the options asked for a
@@ -401,6 +405,8 @@ pub struct OpenReport {
     pub policy_overridden: Option<(CompactionConfig, CompactionConfig)>,
     /// WAL records replayed past the flushed high-water mark.
     pub wal_records_replayed: u64,
+    /// 1 when replay found a torn tail and truncated it, else 0.
+    pub wal_torn_tail_truncated: u64,
     /// Filters restored from persisted images (O(1) reads per table).
     pub filters_loaded: u64,
     /// Filters rebuilt from data blocks (no or corrupt image).
@@ -522,7 +528,7 @@ impl Db {
                 }
             }
         }
-        let (wal, records) = Wal::replay(&disk, version.flushed_seq, &wal_file_name(&opts.namespace))?;
+        let (wal, records, torn) = Wal::replay(&disk, version.flushed_seq, &wal_file_name(&opts.namespace))?;
         let mut db = Self {
             view: ReadView {
                 // Filters were attached above, while the tables were still
@@ -543,23 +549,15 @@ impl Db {
             mem_tombstones: 0,
             graveyard: Vec::new(),
             next_table_id: version.next_table_id,
-            filter_stats: Cell::new(FilterStats::default()),
             wal,
             manifest: RefCell::new(manifest),
             flushed_seq: version.flushed_seq,
-            read_repairs: Cell::new(0),
-            transient_retries: Cell::new(0),
-            degraded_tables: Cell::new(degraded),
             policy,
-            filters_loaded: Cell::new(loaded),
-            filters_rebuilt: Cell::new(rebuilt),
-            filter_images_corrupt: Cell::new(images_corrupt),
-            backpressure_rejections: Cell::new(0),
-            stall_rejections: Cell::new(0),
-            compact_steps: Cell::new(0),
+            counters: Counters::default(),
             open_report: OpenReport {
                 policy_overridden,
                 wal_records_replayed: records.len() as u64,
+                wal_torn_tail_truncated: u64::from(torn),
                 filters_loaded: loaded,
                 filters_rebuilt: rebuilt,
                 filter_images_corrupt: images_corrupt,
@@ -686,12 +684,11 @@ impl Db {
         let _ = self.compact_step();
         let (l0, mem) = (self.view.levels[0].len(), self.mem_bytes);
         if over_stop(l0, mem) {
-            self.stall_rejections.set(self.stall_rejections.get() + 1);
+            bump(&self.counters.stall_rejections, 1);
             return Err(MemtreeError::Stalled { l0_runs: l0, memtable_bytes: mem });
         }
         if over_slowdown(l0, mem) {
-            self.backpressure_rejections
-                .set(self.backpressure_rejections.get() + 1);
+            bump(&self.counters.backpressure_rejections, 1);
             let depth = (l0 + 1).saturating_sub(bands.slowdown_l0_runs).max(1) as u64;
             return Err(MemtreeError::Backpressure { suggested_wait_us: 100 * depth });
         }
@@ -799,7 +796,7 @@ impl Db {
             wal_bytes = self.view.disk.file_len(self.wal.file()) as u64;
             self.view.disk.truncate_file(self.wal.file(), 0);
             self.view.disk.sync();
-            self.wal.note_reset(wal_bytes);
+            self.wal.note_reset();
         }
         let stats = FlushStats {
             entries: flushed_entries,
@@ -837,15 +834,21 @@ impl Db {
         debt
     }
 
-    /// Debt and overload counters (see [`DbStats`]).
+    /// Every run-time counter of this database (see [`DbStats`]).
     pub fn stats(&self) -> DbStats {
+        let c = &self.counters;
         DbStats {
             l0_runs: self.view.levels[0].len(),
             memtable_bytes: self.mem_bytes,
             compaction_debt_bytes: self.compaction_debt_bytes(),
-            backpressure_rejections: self.backpressure_rejections.get(),
-            stall_rejections: self.stall_rejections.get(),
-            compact_steps: self.compact_steps.get(),
+            backpressure_rejections: c.backpressure_rejections.get(),
+            stall_rejections: c.stall_rejections.get(),
+            compact_steps: c.compact_steps.get(),
+            filter_probe_passes: c.filter_probe_passes.get(),
+            filter_keys_probed: c.filter_keys_probed.get(),
+            read_repairs: c.read_repairs.get(),
+            transient_retries: c.transient_retries.get(),
+            quarantined_blocks: self.view.quarantined().len() as u64,
         }
     }
 
@@ -864,7 +867,7 @@ impl Db {
         for level in 0..self.view.levels.len() {
             if self.view.levels[level].len() > self.level_limit(level) {
                 self.compact_at(level)?;
-                self.compact_steps.set(self.compact_steps.get() + 1);
+                bump(&self.counters.compact_steps, 1);
                 return Ok(true);
             }
         }
@@ -885,7 +888,7 @@ impl Db {
         let l0 = self.view.levels[0].len();
         if l0 > 0 && l0 >= self.opts.stall.slowdown_l0_runs {
             self.compact_at(0)?;
-            self.compact_steps.set(self.compact_steps.get() + 1);
+            bump(&self.counters.compact_steps, 1);
             return Ok(true);
         }
         Ok(false)
@@ -1055,12 +1058,12 @@ impl Db {
         // propagate errors — a *fresh* failure must not silently drop
         // entries.
         let mut out = Vec::with_capacity(table.num_entries);
-        let retries = Some(&self.transient_retries);
+        let retries = Some(&self.counters.transient_retries);
         for b in 0..table.blocks.len() {
             if self.view.is_quarantined(table.id, b) {
                 if let Ok(d) = read_block(&self.view.disk, table, b, 4, retries) {
                     self.view.edit_quarantine(|q| q.remove(&(table.id, b as u32)));
-                    self.read_repairs.set(self.read_repairs.get() + 1);
+                    bump(&self.counters.read_repairs, 1);
                     out.extend(d);
                 }
                 continue;
@@ -1083,17 +1086,17 @@ impl Db {
     /// * a block that still fails is **quarantined**: queries treat it as
     ///   empty, the quarantine is persisted through the manifest so
     ///   reopen skips it, and only scrub can lift it. The counters in
-    ///   [`Db::io_stats`] record every step instead of the process
+    ///   [`Db::stats`] record every step instead of the process
     ///   panicking.
     fn fetch_block(&self, table: &SsTable, block: usize) -> Arc<DecodedBlock> {
-        let retries = Some(&self.transient_retries);
+        let retries = Some(&self.counters.transient_retries);
         match self.view.fetch(table, block, READ_ATTEMPTS, retries) {
             Ok(d) => d,
             Err(e) if e.is_transient() => Arc::default(),
             Err(_) => match read_block(&self.view.disk, table, block, READ_ATTEMPTS, retries) {
                 Ok(d) => {
                     let d = Arc::new(d);
-                    self.read_repairs.set(self.read_repairs.get() + 1);
+                    bump(&self.counters.read_repairs, 1);
                     self.view.cache.insert(table.id, block, Arc::clone(&d));
                     d
                 }
@@ -1115,16 +1118,14 @@ impl Db {
         }
     }
 
-    /// Per-key filter check with [`FilterStats`] accounting; filterless
-    /// tables pass through uncounted.
+    /// Per-key filter check, counted in [`DbStats`]; filterless tables
+    /// pass through uncounted.
     fn probe_filter(&self, table: &SsTable, key: &[u8]) -> bool {
         if !table.has_filter() {
             return true;
         }
-        let mut s = self.filter_stats.get();
-        s.probe_passes += 1;
-        s.keys_probed += 1;
-        self.filter_stats.set(s);
+        bump(&self.counters.filter_probe_passes, 1);
+        bump(&self.counters.filter_keys_probed, 1);
         table.filter_may_contain(key)
     }
 
@@ -1157,10 +1158,8 @@ impl Db {
         if table.has_filter() {
             let probe: Vec<&[u8]> = cand.iter().map(|&i| keys[i as usize]).collect();
             let bits = table.filter_may_contain_batch(&probe);
-            let mut s = self.filter_stats.get();
-            s.probe_passes += 1;
-            s.keys_probed += probe.len() as u64;
-            self.filter_stats.set(s);
+            bump(&self.counters.filter_probe_passes, 1);
+            bump(&self.counters.filter_keys_probed, probe.len() as u64);
             survivors = cand
                 .iter()
                 .enumerate()
@@ -1500,52 +1499,10 @@ impl Db {
         total
     }
 
-    /// Read-I/O, sync, and degradation statistics (the repair/quarantine
-    /// counters are maintained here, not by the raw device).
-    pub fn io_stats(&self) -> IoStats {
-        IoStats {
-            read_repairs: self.read_repairs.get(),
-            quarantined_blocks: self.view.quarantined().len() as u64,
-            transient_retries: self.transient_retries.get(),
-            ..self.view.disk.stats()
-        }
-    }
-
-    /// Clears I/O counters (between benchmark phases).
-    pub fn reset_io_stats(&self) {
-        self.view.disk.reset_stats();
-        self.read_repairs.set(0);
-        self.transient_retries.set(0);
-    }
-
-    /// Tables serving filterless because a block was unreadable or
-    /// quarantined when their filter was (re)built at open.
-    pub fn degraded_tables(&self) -> u64 {
-        self.degraded_tables.get()
-    }
-
     /// The compaction configuration actually in force (after manifest
     /// resolution — may differ from the options passed to [`Db::open`]).
     pub fn compaction_config(&self) -> CompactionConfig {
         self.opts.compaction
-    }
-
-    /// Filters attached straight from their persisted image at open — the
-    /// O(tables) fast path (one meta-block read, no data-block scan).
-    pub fn filters_loaded(&self) -> u64 {
-        self.filters_loaded.get()
-    }
-
-    /// Filters rebuilt from data blocks at open because no usable image
-    /// existed (legacy table, kind mismatch, or corrupt image).
-    pub fn filters_rebuilt(&self) -> u64 {
-        self.filters_rebuilt.get()
-    }
-
-    /// Persisted filter images that failed to decode at open (the table
-    /// fell back to a rebuild — slower, never wrong).
-    pub fn filter_images_corrupt(&self) -> u64 {
-        self.filter_images_corrupt.get()
     }
 
     /// The live version as the manifest would describe it (used by scrub
@@ -1597,10 +1554,9 @@ impl Db {
     /// Truncates the WAL to empty and resets its high-water bookkeeping
     /// (scrub's repair for a damaged log that covers no unflushed data).
     pub(crate) fn discard_wal(&mut self) {
-        let bytes = self.view.disk.file_len(self.wal.file()) as u64;
         self.view.disk.truncate_file(self.wal.file(), 0);
         self.view.disk.sync();
-        self.wal.note_reset(bytes);
+        self.wal.note_reset();
     }
 
     /// This database's WAL file name in the disk namespace.
@@ -1618,7 +1574,7 @@ impl Db {
         }
     }
 
-    /// WAL activity counters (appends, group commits, replay outcome).
+    /// WAL append counters (see [`WalStats`]).
     pub fn wal_stats(&self) -> WalStats {
         self.wal.stats()
     }
@@ -1634,16 +1590,6 @@ impl Db {
     /// guaranteed to survive a crash.
     pub fn last_synced_seq(&self) -> u64 {
         self.wal.synced_seq().max(self.flushed_seq)
-    }
-
-    /// Point-filter probe counters for the Get paths.
-    pub fn filter_stats(&self) -> FilterStats {
-        self.filter_stats.get()
-    }
-
-    /// Clears the filter probe counters (between benchmark phases).
-    pub fn reset_filter_stats(&self) {
-        self.filter_stats.set(FilterStats::default());
     }
 
     /// (cache hits, cache misses).
@@ -1875,6 +1821,13 @@ mod tests {
     use super::*;
     use memtree_common::key::encode_u64;
 
+    /// Device block reads `f` causes, as a before/after delta.
+    pub(super) fn reads_during(db: &Db, f: impl FnOnce()) -> u64 {
+        let before = db.view.disk.stats().block_reads;
+        f();
+        db.view.disk.stats().block_reads - before
+    }
+
     fn db_with(filter: FilterKind, n: u64) -> Db {
         let mut db = Db::new(DbOptions {
             memtable_bytes: 8 << 10,
@@ -1984,16 +1937,16 @@ mod tests {
             db
         };
         let io_for = |db: &Db| {
-            db.reset_io_stats();
-            let mut state = 7u64;
-            for _ in 0..200 {
-                let base = (memtree_common::hash::splitmix64(&mut state) % 5000) << 20;
-                // Range strictly inside a gap: almost always empty.
-                let lo = encode_u64(base + 1000);
-                let hi = encode_u64(base + 2000);
-                db.seek(&lo, Some(&hi));
-            }
-            db.io_stats().block_reads
+            reads_during(db, || {
+                let mut state = 7u64;
+                for _ in 0..200 {
+                    let base = (memtree_common::hash::splitmix64(&mut state) % 5000) << 20;
+                    // Range strictly inside a gap: almost always empty.
+                    let lo = encode_u64(base + 1000);
+                    let hi = encode_u64(base + 2000);
+                    db.seek(&lo, Some(&hi));
+                }
+            })
         };
         let none = build(FilterKind::None);
         // 8 real suffix bits reach the byte where these gap queries differ
@@ -2085,26 +2038,27 @@ mod tests {
                 .collect();
             let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
 
-            db.reset_io_stats();
-            db.reset_filter_stats();
+            // (block reads, filter passes, keys probed) so far.
+            let sample = |db: &Db| {
+                let s = db.stats();
+                (db.view.disk.stats().block_reads, s.filter_probe_passes, s.filter_keys_probed)
+            };
+            let s0 = sample(&db);
             for k in &refs {
                 assert_eq!(db.get(k), None);
             }
-            let (per_key_io, per_key_f) = (db.io_stats().block_reads, db.filter_stats());
-
-            db.reset_io_stats();
-            db.reset_filter_stats();
+            let s1 = sample(&db);
             for c in refs.chunks(64) {
                 assert!(db.multi_get(c).iter().all(|r| r.is_none()));
             }
-            let (batch_io, batch_f) = (db.io_stats().block_reads, db.filter_stats());
+            let s2 = sample(&db);
+            let (per_key_io, per_key_passes, per_key_keys) = (s1.0 - s0.0, s1.1 - s0.1, s1.2 - s0.2);
+            let (batch_io, batch_passes, batch_keys) = (s2.0 - s1.0, s2.1 - s1.1, s2.2 - s1.2);
 
-            assert_eq!(per_key_f.keys_probed, batch_f.keys_probed, "{filter:?}");
+            assert_eq!(per_key_keys, batch_keys, "{filter:?}");
             assert!(
-                batch_f.probe_passes < per_key_f.probe_passes,
-                "{filter:?}: batched passes {} vs per-key {}",
-                batch_f.probe_passes,
-                per_key_f.probe_passes
+                batch_passes < per_key_passes,
+                "{filter:?}: batched passes {batch_passes} vs per-key {per_key_passes}"
             );
             assert!(
                 batch_io <= per_key_io,
@@ -2192,13 +2146,12 @@ mod tests {
             .collect();
         let ranges: Vec<(&[u8], &[u8])> =
             bounds.iter().map(|(l, h)| (l.as_slice(), h.as_slice())).collect();
-        db.reset_io_stats();
-        let batched = db.multi_seek(&ranges);
-        let batched_reads = db.io_stats().block_reads;
-        db.reset_io_stats();
-        let looped: Vec<SeekResult> =
-            ranges.iter().map(|&(l, h)| db.seek(l, Some(h))).collect();
-        let loop_reads = db.io_stats().block_reads;
+        let mut batched = Vec::new();
+        let batched_reads = reads_during(&db, || batched = db.multi_seek(&ranges));
+        let mut looped = Vec::new();
+        let loop_reads = reads_during(&db, || {
+            looped = ranges.iter().map(|&(l, h)| db.seek(l, Some(h))).collect();
+        });
         assert_eq!(batched, looped);
         assert!(
             batched_reads < loop_reads,
@@ -2226,18 +2179,15 @@ mod tests {
         }
         db.flush().unwrap();
         assert_eq!(db.level_sizes()[0], 2);
-        db.reset_io_stats();
         // [200, 300) misses both tables: the low table tops out at 99 and
         // the high table starts at 1000 >= hk.
-        assert_eq!(
-            db.seek(&encode_u64(200), Some(&encode_u64(300))),
-            SeekResult::NotFound
-        );
-        assert_eq!(
-            db.io_stats().block_reads,
-            0,
-            "closed seek into a gap should touch no blocks"
-        );
+        let reads = reads_during(&db, || {
+            assert_eq!(
+                db.seek(&encode_u64(200), Some(&encode_u64(300))),
+                SeekResult::NotFound
+            );
+        });
+        assert_eq!(reads, 0, "closed seek into a gap should touch no blocks");
         // Sanity: the same seek unbounded still finds the high table's min.
         match db.seek(&encode_u64(200), None) {
             SeekResult::Found { key } => {
@@ -2251,13 +2201,13 @@ mod tests {
     fn bloom_cuts_point_io_on_misses() {
         let io_for = |filter| {
             let db = db_with(filter, 10_000);
-            db.reset_io_stats();
-            let mut state = 999u64;
-            for _ in 0..2000 {
-                let k = memtree_common::hash::splitmix64(&mut state) | 1;
-                db.get(&encode_u64(k)); // miss with overwhelming probability
-            }
-            db.io_stats().block_reads
+            reads_during(&db, || {
+                let mut state = 999u64;
+                for _ in 0..2000 {
+                    let k = memtree_common::hash::splitmix64(&mut state) | 1;
+                    db.get(&encode_u64(k)); // miss with overwhelming probability
+                }
+            })
         };
         let none = io_for(FilterKind::None);
         let bloom = io_for(FilterKind::Bloom(14.0));
@@ -2285,7 +2235,8 @@ mod tests {
             "WAL held at least the keys: {}",
             stats.wal_bytes_truncated
         );
-        assert_eq!(db.wal_stats().reset_bytes, stats.wal_bytes_truncated);
+        // A first flush truncates everything the WAL ever appended.
+        assert_eq!(stats.wal_bytes_truncated, db.wal_stats().appended_bytes);
     }
 
     #[test]
@@ -2304,7 +2255,7 @@ mod tests {
             let sizes = db.level_sizes();
             let disk = db.close().unwrap();
             let db = Db::open(disk, opts).unwrap();
-            assert_eq!(db.wal_stats().replayed_records, 0, "{filter:?}: clean shutdown");
+            assert_eq!(db.open_report().wal_records_replayed, 0, "{filter:?}: clean shutdown");
             assert_eq!(db.level_sizes(), sizes, "{filter:?}: level shape");
             for i in (0..2000u64).step_by(17) {
                 assert_eq!(
@@ -2361,8 +2312,7 @@ mod tests {
         db.view.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None, "quarantined block reads as absent");
         db.view.disk.faults().disable();
-        let s = db.io_stats();
-        assert_eq!(s.quarantined_blocks, 1);
+        assert_eq!(db.stats().quarantined_blocks, 1);
         // After disarming, *other* blocks still serve.
         assert_eq!(db.get(&encode_u64(1999)), Some(b"payload".to_vec()));
         // A snapshot taken after the quarantine shares it: every probed
@@ -2372,6 +2322,48 @@ mod tests {
             let k = encode_u64(i);
             assert_eq!(snap.get(&k), db.get(&k), "snapshot diverges from Db at key {i}");
         }
+    }
+
+    /// Two namespaced databases on one disk, the way serve shards share
+    /// one: each `Db` counts only its own degradations, while the device's
+    /// counters see the reads of both.
+    #[test]
+    fn shared_disk_keeps_db_counters_apart() {
+        let disk = Arc::new(SimDisk::new(Duration::ZERO));
+        let open = |namespace: &str| {
+            let opts = DbOptions {
+                namespace: namespace.to_string(),
+                gc_orphans: false,
+                memtable_bytes: 1 << 20,
+                cache_blocks: 0,
+                ..Default::default()
+            };
+            let mut db = Db::open(Arc::clone(&disk), opts).unwrap();
+            for i in 0..2000u64 {
+                db.put(&encode_u64(i), b"payload").unwrap();
+            }
+            db.flush().unwrap();
+            db
+        };
+        let (a, b) = (open("a-"), open("b-"));
+        disk.bitrot_block(a.view.levels[0][0].blocks[0], 5).unwrap();
+        let reads0 = disk.stats().block_reads;
+        assert_eq!(a.get(&encode_u64(0)), None, "rotten block reads as absent");
+        let b_gets = (0..2000u64).step_by(97).count() as u64;
+        for i in (0..2000u64).step_by(97) {
+            assert_eq!(b.get(&encode_u64(i)), Some(b"payload".to_vec()), "key {i}");
+        }
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!(sa.quarantined_blocks, 1, "A counts its quarantine");
+        assert_eq!(
+            (sb.quarantined_blocks, sb.read_repairs, sb.transient_retries),
+            (0, 0, 0),
+            "B saw no degradation"
+        );
+        // A read the rotten block at least twice (the failed read and the
+        // read-repair attempt); every uncached get through B read a block.
+        let reads = disk.stats().block_reads - reads0;
+        assert!(reads >= 2 + b_gets, "device counted {reads} reads for both Dbs");
     }
 
     #[test]
@@ -2393,8 +2385,8 @@ mod tests {
         db.view.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None);
         db.view.disk.faults().disable();
-        assert_eq!(db.io_stats().quarantined_blocks, 1);
-        let repairs_before = db.io_stats().read_repairs;
+        assert_eq!(db.stats().quarantined_blocks, 1);
+        let repairs_before = db.stats().read_repairs;
         // Compacting the table re-reads the quarantined block; the clean
         // re-read rescues its entries into the merged output instead of
         // letting the retirement of the input table make the loss
@@ -2404,7 +2396,7 @@ mod tests {
         }
         db.flush().unwrap();
         assert!(db.compact_step().unwrap(), "L0 must be over its limit");
-        let s = db.io_stats();
+        let s = db.stats();
         assert_eq!(s.quarantined_blocks, 0, "rescued block leaves quarantine");
         assert!(s.read_repairs > repairs_before, "rescue is counted as a read repair");
         assert_eq!(db.get(&encode_u64(0)), Some(b"payload".to_vec()));
@@ -2558,17 +2550,18 @@ mod tests {
         db.view.disk.faults().arm("lsm.disk.read_corrupt", 1.0, None);
         assert_eq!(db.get(&encode_u64(0)), None);
         db.view.disk.faults().disable();
-        assert_eq!(db.io_stats().quarantined_blocks, 1);
+        assert_eq!(db.stats().quarantined_blocks, 1);
         let disk = db.close().unwrap();
         let db = Db::open(disk, opts).unwrap();
         // Reopen trusted the persisted quarantine (no read of the bad
         // block) and attached the persisted filter image anyway: the image
         // covers the quarantined keys too, which only means safe false
         // positives — never a wrong miss. No degraded, no rebuild.
-        assert_eq!(db.io_stats().quarantined_blocks, 1);
-        assert_eq!(db.degraded_tables(), 0);
-        assert_eq!(db.filters_loaded(), 1);
-        assert_eq!(db.filters_rebuilt(), 0);
+        assert_eq!(db.stats().quarantined_blocks, 1);
+        let report = db.open_report();
+        assert_eq!(report.degraded_tables, 0);
+        assert_eq!(report.filters_loaded, 1);
+        assert_eq!(report.filters_rebuilt, 0);
         assert_eq!(db.get(&encode_u64(0)), None, "quarantined data stays absent");
         assert_eq!(db.get(&encode_u64(1999)), Some(b"payload".to_vec()));
     }
@@ -2597,7 +2590,7 @@ mod tests {
             );
         }
         db.view.disk.faults().disable();
-        let s = db.io_stats();
+        let s = db.stats();
         assert!(s.transient_retries > 0, "no transient was ever injected");
         assert_eq!(s.quarantined_blocks, 0, "transient faults must never quarantine");
     }
@@ -2605,6 +2598,7 @@ mod tests {
 
 #[cfg(test)]
 mod policy_tests {
+    use super::tests::reads_during;
     use super::*;
     use memtree_common::key::encode_u64;
     use std::collections::BTreeMap;
@@ -2694,6 +2688,14 @@ mod policy_tests {
             CompactionConfig::Tiered { tiers_per_level: 3 },
             "manifest policy must override the options"
         );
+        assert_eq!(
+            db.open_report().policy_overridden,
+            Some((
+                CompactionConfig::Leveled { fanout: 10 },
+                CompactionConfig::Tiered { tiers_per_level: 3 }
+            )),
+            "the override is reported as (requested, persisted)"
+        );
         assert!(db.view.overlapping);
         for i in 0..2000u64 {
             db.put(&encode_u64(i), b"round-2").unwrap();
@@ -2726,24 +2728,22 @@ mod policy_tests {
         let disk = db.close().unwrap();
         let _ = disk.bitrot_block(fb, 99);
         let db = Db::open(disk, opts).unwrap();
-        assert_eq!(db.filter_images_corrupt(), 1);
-        assert_eq!(db.filters_loaded(), 0);
-        assert_eq!(db.filters_rebuilt(), 1);
-        assert_eq!(db.degraded_tables(), 0, "rebuild succeeded, no degrade");
+        let report = db.open_report();
+        assert_eq!(report.filter_images_corrupt, 1);
+        assert_eq!(report.filters_loaded, 0);
+        assert_eq!(report.filters_rebuilt, 1);
+        assert_eq!(report.degraded_tables, 0, "rebuild succeeded, no degrade");
         for i in (0..2000u64).step_by(61) {
             assert_eq!(db.get(&encode_u64(i)), Some(b"payload".to_vec()));
             assert_eq!(db.get(&encode_u64(i + 100_000)), None);
         }
         // The rebuilt filter actually prunes negative lookups.
-        db.reset_io_stats();
-        for i in 0..200u64 {
-            assert_eq!(db.get(&encode_u64(i + 200_000)), None);
-        }
-        assert!(
-            db.io_stats().block_reads < 20,
-            "rebuilt filter is not pruning: {} reads",
-            db.io_stats().block_reads
-        );
+        let reads = reads_during(&db, || {
+            for i in 0..200u64 {
+                assert_eq!(db.get(&encode_u64(i + 200_000)), None);
+            }
+        });
+        assert!(reads < 20, "rebuilt filter is not pruning: {reads} reads");
     }
 
     /// Reopen of a persistent-filter database touches O(tables) blocks,
@@ -2766,11 +2766,11 @@ mod policy_tests {
         let data_blocks: u64 = db.view.levels.iter().flatten().map(|t| t.blocks.len() as u64).sum();
         assert!(data_blocks > 4 * tables, "workload too small to distinguish");
         let disk = db.close().unwrap();
-        disk.reset_stats();
-        let db = Db::open(disk, opts).unwrap();
-        assert_eq!(db.filters_loaded(), tables);
-        assert_eq!(db.filters_rebuilt(), 0);
-        let reads = db.io_stats().block_reads;
+        let reads0 = disk.stats().block_reads;
+        let db = Db::open(Arc::clone(&disk), opts).unwrap();
+        assert_eq!(db.open_report().filters_loaded, tables);
+        assert_eq!(db.open_report().filters_rebuilt, 0);
+        let reads = disk.stats().block_reads - reads0;
         assert!(
             reads <= 2 * tables,
             "open read {reads} blocks for {tables} tables (data blocks: {data_blocks})"
@@ -2797,13 +2797,14 @@ mod diag_tests {
         let sizes = db.level_sizes();
         println!("level sizes: {sizes:?}");
         assert!(sizes.iter().filter(|&&s| s > 0).count() >= 2, "{sizes:?}");
-        db.reset_io_stats();
         let n = 200;
-        for i in 0..n {
-            let k = encode_u64((i * 9973 % 30_000) * 64 + 1);
-            db.seek(&k, None);
-        }
-        let per_op = db.io_stats().block_reads as f64 / n as f64;
+        let reads = super::tests::reads_during(&db, || {
+            for i in 0..n {
+                let k = encode_u64((i * 9973 % 30_000) * 64 + 1);
+                db.seek(&k, None);
+            }
+        });
+        let per_op = reads as f64 / n as f64;
         println!("no-filter seek IO/op = {per_op}");
         assert!(per_op > 1.2, "expected multi-level I/O, got {per_op}");
     }

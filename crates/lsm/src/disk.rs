@@ -70,10 +70,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Running I/O counters. `read_repairs` / `quarantined_blocks` /
-/// `transient_retries` are maintained by the [`Db`](crate::Db) read paths
-/// and merged into this struct by [`Db::io_stats`](crate::Db::io_stats);
-/// the raw device reports them as zero.
+/// The device's running I/O counters, returned by [`SimDisk::stats`]. They
+/// count every [`Db`](crate::Db) sharing the disk, run from creation and
+/// are never reset: measure a phase as the difference of two samples.
+/// Per-`Db` counters (filter probes, read repairs, quarantines) are in
+/// [`DbStats`](crate::DbStats).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IoStats {
     /// Block reads served by the device (block-cache misses).
@@ -86,12 +87,6 @@ pub struct IoStats {
     pub file_bytes_written: u64,
     /// `sync()` barriers issued.
     pub syncs: u64,
-    /// Block decodes that failed once and succeeded on a re-read.
-    pub read_repairs: u64,
-    /// Blocks quarantined after failing validation twice.
-    pub quarantined_blocks: u64,
-    /// Reads retried after a transient I/O fault (healed, not quarantined).
-    pub transient_retries: u64,
     /// Virtual microseconds of injected slow-I/O delay charged so far
     /// (jitter + bursts + slow region + armed `lsm.disk.slow_io` storms).
     pub slow_io_delay_us: u64,
@@ -662,21 +657,8 @@ impl SimDisk {
             file_appends: self.appends.load(Ordering::Relaxed),
             file_bytes_written: self.append_bytes.load(Ordering::Relaxed),
             syncs: self.syncs.load(Ordering::Relaxed),
-            read_repairs: 0,
-            quarantined_blocks: 0,
-            transient_retries: 0,
             slow_io_delay_us: self.slow_delay_us.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zeroes the counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.appends.store(0, Ordering::Relaxed);
-        self.append_bytes.store(0, Ordering::Relaxed);
-        self.syncs.store(0, Ordering::Relaxed);
-        self.slow_delay_us.store(0, Ordering::Relaxed);
     }
 
     /// Live (allocated) block count.
@@ -713,8 +695,6 @@ mod tests {
         let c = d.write(Box::from(&b"again"[..])).unwrap();
         assert_eq!(c, a, "freed slot reused");
         assert_eq!(d.live_blocks(), 2);
-        d.reset_stats();
-        assert_eq!(d.stats(), IoStats::default());
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod wal;
 
 pub use compaction::CompactionConfig;
 pub use db::{
-    gc_orphans, Db, DbOptions, DbStats, FilterKind, FilterStats, FlushStats, OpenReport,
+    gc_orphans, Db, DbOptions, DbStats, FilterKind, FlushStats, OpenReport,
     SeekResult, StallConfig,
 };
 pub use disk::{IoStats, SimDisk, SlowIo};

@@ -177,25 +177,14 @@ pub(crate) fn decode_single(buf: &[u8], context: &'static str) -> Result<Vec<u8>
 }
 
 /// WAL activity counters, exposed through
-/// [`Db::wal_stats`](crate::Db::wal_stats).
+/// [`Db::wal_stats`](crate::Db::wal_stats). What replay found at open is
+/// in [`OpenReport`](crate::OpenReport); what a flush reclaimed is in
+/// [`FlushStats`](crate::FlushStats).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records appended since open.
-    pub appended_records: u64,
     /// Frame bytes appended since open (WAL write amplification's
     /// numerator).
     pub appended_bytes: u64,
-    /// Group-commit syncs issued.
-    pub syncs: u64,
-    /// Records recovered by replay at open.
-    pub replayed_records: u64,
-    /// Records skipped at replay because a flushed table already covered
-    /// them (their seq was at or below the manifest's flushed-seq mark).
-    pub skipped_records: u64,
-    /// 1 when replay found and truncated a torn tail.
-    pub torn_tail_truncated: u64,
-    /// Bytes discarded by flush high-water-mark resets.
-    pub reset_bytes: u64,
 }
 
 /// A WAL record ready to re-apply at recovery. `value: None` is a delete
@@ -279,7 +268,6 @@ impl Wal {
         self.next_seq += 1;
         self.appended_seq = seq;
         self.unsynced += 1;
-        self.stats.appended_records += 1;
         self.stats.appended_bytes += frame.len() as u64;
         if self.unsynced >= group_commit.max(1) {
             self.sync(disk)?;
@@ -293,7 +281,6 @@ impl Wal {
         disk.sync();
         self.synced_seq = self.appended_seq;
         self.unsynced = 0;
-        self.stats.syncs += 1;
         Ok(())
     }
 
@@ -325,23 +312,23 @@ impl Wal {
         self.stats
     }
 
-    /// Records a flush's high-water-mark reset of `bytes` log bytes. The
-    /// flush made every appended record durable through its table, so the
-    /// whole appended prefix is now acknowledged.
-    pub fn note_reset(&mut self, bytes: u64) {
-        self.stats.reset_bytes += bytes;
+    /// Records a flush's high-water-mark reset of the log. The flush made
+    /// every appended record durable through its table, so the whole
+    /// appended prefix is now acknowledged.
+    pub fn note_reset(&mut self) {
         self.synced_seq = self.appended_seq;
         self.unsynced = 0;
     }
 
     /// Replays the on-disk log: decodes frames (truncating a torn tail on
     /// disk, so later appends land after valid bytes), drops records a
-    /// flushed table already covers, and returns the rest in seq order.
+    /// flushed table already covers, and returns the rest in seq order,
+    /// plus whether a torn tail was truncated.
     ///
     /// Mid-log corruption and non-monotonic sequence numbers are typed
     /// errors — a log that replays must be an exact prefix of the put
     /// history.
-    pub fn replay(disk: &SimDisk, flushed_seq: u64, file: &str) -> Result<(Self, Vec<WalRecord>)> {
+    pub fn replay(disk: &SimDisk, flushed_seq: u64, file: &str) -> Result<(Self, Vec<WalRecord>, bool)> {
         let buf = disk.read_file(file);
         let decoded = decode_frames(&buf, "wal")?;
         if decoded.torn {
@@ -350,7 +337,6 @@ impl Wal {
         }
         let mut records = Vec::new();
         let mut last_seq = 0u64;
-        let mut skipped = 0u64;
         for (seq, payload) in decoded.records {
             if seq <= last_seq {
                 return Err(MemtreeError::corruption(
@@ -384,7 +370,6 @@ impl Wal {
                 ));
             }
             if seq <= flushed_seq {
-                skipped += 1;
                 continue;
             }
             records.push(WalRecord {
@@ -393,11 +378,8 @@ impl Wal {
                 value: (kind == KIND_PUT).then(|| value.to_vec()),
             });
         }
-        let mut wal = Self::new(last_seq.max(flushed_seq), file.to_string());
-        wal.stats.replayed_records = records.len() as u64;
-        wal.stats.skipped_records = skipped;
-        wal.stats.torn_tail_truncated = u64::from(decoded.torn);
-        Ok((wal, records))
+        let wal = Self::new(last_seq.max(flushed_seq), file.to_string());
+        Ok((wal, records, decoded.torn))
     }
 }
 
@@ -459,7 +441,7 @@ mod tests {
         assert_eq!(wal.synced_seq(), 4);
         assert_eq!(wal.appended_seq(), 7);
         disk.crash(None);
-        let (rwal, records) = Wal::replay(&disk, 0, WAL_FILE).unwrap();
+        let (rwal, records, _) = Wal::replay(&disk, 0, WAL_FILE).unwrap();
         assert_eq!(records.len(), 4, "unsynced suffix lost");
         assert_eq!(rwal.synced_seq(), 4);
     }
@@ -488,8 +470,8 @@ mod tests {
         a.append(&disk, b"a", Some(b"va"), 1).unwrap();
         b.append(&disk, b"b", Some(b"vb"), 1).unwrap();
         b.append(&disk, b"b2", Some(b"vb2"), 1).unwrap();
-        let (_, ra) = Wal::replay(&disk, 0, "s0-wal").unwrap();
-        let (_, rb) = Wal::replay(&disk, 0, "s1-wal").unwrap();
+        let (_, ra, _) = Wal::replay(&disk, 0, "s0-wal").unwrap();
+        let (_, rb, _) = Wal::replay(&disk, 0, "s1-wal").unwrap();
         assert_eq!(ra.len(), 1);
         assert_eq!(ra[0].key, b"a");
         assert_eq!(rb.len(), 2);
@@ -503,10 +485,9 @@ mod tests {
         for _ in 0..6 {
             wal.append(&disk, b"key", Some(b"val"), 1).unwrap();
         }
-        let (rwal, records) = Wal::replay(&disk, 4, WAL_FILE).unwrap();
+        let (rwal, records, _) = Wal::replay(&disk, 4, WAL_FILE).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].seq, 5);
-        assert_eq!(rwal.stats().skipped_records, 4);
         assert_eq!(rwal.synced_seq(), 6);
     }
 
@@ -517,7 +498,7 @@ mod tests {
         wal.append(&disk, b"a", Some(b"v1"), 1).unwrap();
         wal.append(&disk, b"a", None, 1).unwrap();
         wal.append(&disk, b"b", None, 1).unwrap();
-        let (_, records) = Wal::replay(&disk, 0, WAL_FILE).unwrap();
+        let (_, records, _) = Wal::replay(&disk, 0, WAL_FILE).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].value.as_deref(), Some(&b"v1"[..]));
         assert_eq!(records[1].value, None, "tombstone decodes as None");

@@ -179,7 +179,7 @@ fn run_case(point: &str, seed: u64) -> bool {
     let disk = db.close().unwrap();
     let db = Db::open(disk, opts)
         .unwrap_or_else(|e| panic!("clean reopen after {point}/{seed} failed: {e:?}"));
-    assert_eq!(db.wal_stats().replayed_records, 0, "clean shutdown replays nothing");
+    assert_eq!(db.open_report().wal_records_replayed, 0, "clean shutdown replays nothing");
     assert_matches_model(&db, &model, &format!("{point}/{seed} after clean reopen"));
     fired
 }
@@ -349,7 +349,7 @@ fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
         let images = clean.filter_block_ids();
         assert!(!images.is_empty(), "seed {seed}: no filter images to corrupt");
         let tables: u64 = clean.level_sizes().iter().map(|&s| s as u64).sum();
-        assert_eq!(clean.filters_loaded(), tables, "seed {seed}: clean open loads all");
+        assert_eq!(clean.open_report().filters_loaded, tables, "seed {seed}: clean open loads all");
         let disk = clean.close().unwrap();
         for &b in &images {
             disk.bitrot_block(b, seed).unwrap();
@@ -357,13 +357,14 @@ fn filter_image_bitrot_rebuilds_with_zero_wrong_answers() {
         let db = Db::open(disk, opts)
             .unwrap_or_else(|e| panic!("seed {seed}: open died on rotten images: {e:?}"));
         db.check_invariants().unwrap();
+        let report = db.open_report();
         assert_eq!(
-            db.filter_images_corrupt(),
+            report.filter_images_corrupt,
             images.len() as u64,
             "seed {seed}: every single-bit flip must be caught"
         );
-        assert_eq!(db.filters_rebuilt(), images.len() as u64, "seed {seed}: rebuild fallback");
-        assert_eq!(db.degraded_tables(), 0, "seed {seed}: data is intact, no degrade");
+        assert_eq!(report.filters_rebuilt, images.len() as u64, "seed {seed}: rebuild fallback");
+        assert_eq!(report.degraded_tables, 0, "seed {seed}: data is intact, no degrade");
         let model = fold_model(seed, total);
         assert_matches_model(&db, &model, &format!("seed {seed} after image bitrot"));
     }

@@ -167,7 +167,7 @@ fn transient_read_storms_heal_without_quarantine_or_wrong_answers() {
             );
         }
         disk.faults().disable();
-        let stats = db.io_stats();
+        let stats = db.stats();
         assert_eq!(stats.quarantined_blocks, 0, "seed {seed}: transient must not quarantine");
         retries_across_seeds += stats.transient_retries;
     }
@@ -317,19 +317,19 @@ fn restored_blocks_are_unquarantined_by_scrub_only() {
         for i in 0..KEYSPACE {
             let _ = db.get(&key_of(i));
         }
-        let quarantined = db.io_stats().quarantined_blocks;
+        let quarantined = db.stats().quarantined_blocks;
         assert_eq!(quarantined, 1, "seed {seed}: read path did not quarantine the rot");
 
         // Restore the bit (bitrot_block is self-inverse per (id, seed)).
         disk.bitrot_block(victim, seed).unwrap();
         // Reads still skip the block: quarantine outlives the fault…
-        assert_eq!(db.io_stats().quarantined_blocks, 1, "seed {seed}");
+        assert_eq!(db.stats().quarantined_blocks, 1, "seed {seed}");
 
         // …until a scrub verifies it clean and lifts it.
         let report = db.scrub().unwrap();
         assert_eq!(report.unquarantined_blocks, 1, "seed {seed}: scrub must lift the quarantine");
         assert!(report.lost_ranges.is_empty(), "seed {seed}: nothing is lost after restore");
-        assert_eq!(db.io_stats().quarantined_blocks, 0, "seed {seed}");
+        assert_eq!(db.stats().quarantined_blocks, 0, "seed {seed}");
         for (k, v) in &model {
             assert_eq!(
                 db.get(k).as_deref(),
@@ -340,7 +340,7 @@ fn restored_blocks_are_unquarantined_by_scrub_only() {
         // The lift persists: reopen and re-verify.
         let disk = db.close().unwrap();
         let db = Db::open(disk, DbOptions { filter: FilterKind::None, ..opts_for(seed) }).unwrap();
-        assert_eq!(db.io_stats().quarantined_blocks, 0, "seed {seed}: lift must persist");
+        assert_eq!(db.stats().quarantined_blocks, 0, "seed {seed}: lift must persist");
     }
 }
 
@@ -394,7 +394,7 @@ fn crash_during_scrub_republish_recovers_under_tiered() {
                 let _ = db.get(&key_of(i));
             }
             disk.bitrot_block(victim, seed).unwrap();
-            if db.io_stats().quarantined_blocks == 1 {
+            if db.stats().quarantined_blocks == 1 {
                 tripped = true;
                 break;
             }
@@ -422,7 +422,7 @@ fn crash_during_scrub_republish_recovers_under_tiered() {
             report.lost_ranges.is_empty(),
             "seed {seed}: stored bytes were intact throughout, nothing may be lost: {report:?}"
         );
-        assert_eq!(db.io_stats().quarantined_blocks, 0, "seed {seed}: quarantine must lift");
+        assert_eq!(db.stats().quarantined_blocks, 0, "seed {seed}: quarantine must lift");
         for i in 0..KEYSPACE {
             let k = key_of(i);
             assert_eq!(db.get(&k), model.get(&k).cloned(), "seed {seed}: key {i}");

@@ -80,9 +80,9 @@ fn every_single_bit_flip_truncates_or_errors_never_lies() {
                         "flip at byte {byte} bit {bit} (record {record}) must not recover"
                     );
                     torn += 1;
-                    let stats = db.wal_stats();
-                    assert_eq!(stats.replayed_records, 2, "exactly the intact prefix");
-                    assert_eq!(stats.torn_tail_truncated, 1);
+                    let report = db.open_report();
+                    assert_eq!(report.wal_records_replayed, 2, "exactly the intact prefix");
+                    assert_eq!(report.wal_torn_tail_truncated, 1);
                     for (i, (k, v)) in KEYS.iter().zip(VALS).enumerate() {
                         let got = db.get(k);
                         if i < 2 {
@@ -126,7 +126,7 @@ fn truncated_tails_of_every_length_recover_the_intact_prefix() {
         });
         let intact = full_frames.iter().filter(|&&b| b <= cut).count() - 1;
         assert_eq!(
-            db.wal_stats().replayed_records,
+            db.open_report().wal_records_replayed,
             intact as u64,
             "cut at {cut}"
         );

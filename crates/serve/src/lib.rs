@@ -247,9 +247,9 @@ enum Request {
     /// Force a MemTable flush on this shard.
     Flush { ack: SyncSender<Result<()>> },
     /// Publish a fresh snapshot, then ack (read-visibility barrier).
-    Barrier { ack: SyncSender<u64> },
-    /// Sample this shard's engine debt/overload counters.
-    Stats { ack: SyncSender<DbStats> },
+    Barrier { ack: SyncSender<Result<u64>> },
+    /// Sample this shard's engine counters.
+    Stats { ack: SyncSender<Result<DbStats>> },
     /// Online scrub & repair, republishing the snapshot afterwards.
     Scrub { ack: SyncSender<Result<ScrubReport>> },
     /// Committer notification: the WAL is durable through `seq`.
@@ -715,87 +715,53 @@ impl ShardedDb {
         self.slots.iter().map(|s| s.snap.load()).collect()
     }
 
+    /// Asks every shard one control-plane question (`make` wraps each
+    /// shard's ack into its request) and waits for every answer; replies
+    /// come back in shard order. A shard that cannot be asked or answers
+    /// with an error never stops the others from being asked; the first
+    /// error in shard order is returned.
+    fn ask_all<T>(&self, make: impl Fn(SyncSender<Result<T>>) -> Request) -> Result<Vec<T>> {
+        let rxs: Vec<Result<_>> = (0..self.slots.len())
+            .map(|shard| {
+                let (ack, rx) = sync_channel(1);
+                self.send_ctl(shard, make(ack)).map(|()| rx)
+            })
+            .collect();
+        let replies: Vec<Result<T>> = rxs
+            .into_iter()
+            .map(|rx| {
+                rx?.recv()
+                    .map_err(|_| MemtreeError::corruption("serve", "worker gone"))?
+            })
+            .collect();
+        replies.into_iter().collect()
+    }
+
     /// Online scrub & repair on every shard (index = shard id): verifies
     /// every live block, rewrites what a clean re-read or cache copy can
     /// save, and lifts quarantines that validate — then republishes the
     /// shard's snapshot so rescued data is immediately visible. Each
     /// report lists the repairs and every key range left at risk.
     pub fn scrub_all(&self) -> Result<Vec<ScrubReport>> {
-        let mut rxs = Vec::with_capacity(self.slots.len());
-        for shard in 0..self.slots.len() {
-            let (ack, rx) = sync_channel(1);
-            self.send_ctl(shard, Request::Scrub { ack })?;
-            rxs.push(rx);
-        }
-        rxs.into_iter()
-            .map(|rx| {
-                rx.recv()
-                    .map_err(|_| MemtreeError::corruption("serve", "worker gone"))?
-            })
-            .collect()
+        self.ask_all(|ack| Request::Scrub { ack })
     }
 
-    /// Samples every shard's engine debt/overload counters
-    /// (index = shard id).
+    /// Samples every shard's engine counters (index = shard id).
     pub fn shard_db_stats(&self) -> Result<Vec<DbStats>> {
-        let mut rxs = Vec::with_capacity(self.slots.len());
-        for shard in 0..self.slots.len() {
-            let (ack, rx) = sync_channel(1);
-            self.send_ctl(shard, Request::Stats { ack })?;
-            rxs.push(rx);
-        }
-        rxs.into_iter()
-            .map(|rx| {
-                rx.recv()
-                    .map_err(|_| MemtreeError::corruption("serve", "worker gone"))
-            })
-            .collect()
+        self.ask_all(|ack| Request::Stats { ack })
     }
 
     /// Read-visibility barrier: every write acknowledged before this call
     /// is visible to subsequent [`ShardedDb::get`]/[`ShardedDb::scan`].
     /// Returns each shard's snapshot epoch after the republish.
     pub fn barrier(&self) -> Result<Vec<u64>> {
-        let mut rxs = Vec::with_capacity(self.slots.len());
-        for shard in 0..self.slots.len() {
-            let (ack, rx) = sync_channel(1);
-            self.send_ctl(shard, Request::Barrier { ack })?;
-            rxs.push(rx);
-        }
-        rxs.into_iter()
-            .map(|rx| {
-                rx.recv()
-                    .map_err(|_| MemtreeError::corruption("serve", "worker gone"))
-            })
-            .collect()
+        self.ask_all(|ack| Request::Barrier { ack })
     }
 
     /// Forces a MemTable flush on every shard. The first shard error is
     /// returned, but every shard is asked to flush regardless.
     pub fn flush_all(&self) -> Result<()> {
-        let mut rxs = Vec::with_capacity(self.slots.len());
-        let mut first_err = None;
-        for shard in 0..self.slots.len() {
-            let (ack, rx) = sync_channel(1);
-            match self.send_ctl(shard, Request::Flush { ack }) {
-                Ok(()) => rxs.push(rx),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        for rx in rxs {
-            match rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                Err(_) => {
-                    first_err = first_err
-                        .or_else(|| Some(MemtreeError::corruption("serve", "worker gone")))
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.ask_all(|ack| Request::Flush { ack }).map(drop)
     }
 
     /// Graceful shutdown: drains every queue, flushes and closes every
@@ -1108,10 +1074,10 @@ fn shard_worker(
             Request::Barrier { ack } => {
                 let epoch = slot.snap.swap(Arc::new(db.snapshot()));
                 dirty = 0;
-                let _ = ack.send(epoch);
+                let _ = ack.send(Ok(epoch));
             }
             Request::Stats { ack } => {
-                let _ = ack.send(db.stats());
+                let _ = ack.send(Ok(db.stats()));
             }
             Request::Scrub { ack } => {
                 let report = db.scrub();
@@ -1468,6 +1434,16 @@ mod tests {
         sdb.put(k1.as_bytes(), b"v").unwrap();
         assert_eq!(sdb.get_fresh(k1.as_bytes()).unwrap().as_deref(), Some(&b"v"[..]));
         disk.faults().disable();
+        // Every control-plane fan-out reports the poisoned shard as a
+        // typed error, and still reaches the healthy sibling: its flush
+        // writes the sibling's MemTable out.
+        let writes0 = disk.stats().block_writes;
+        let typed = |r: Result<()>| matches!(r, Err(MemtreeError::Corruption { .. }));
+        assert!(typed(sdb.flush_all()), "flush_all must fail typed");
+        assert!(disk.stats().block_writes > writes0, "flush_all skipped the healthy shard");
+        assert!(typed(sdb.barrier().map(drop)), "barrier must fail typed");
+        assert!(typed(sdb.scrub_all().map(drop)), "scrub_all must fail typed");
+        assert!(typed(sdb.shard_db_stats().map(drop)), "shard_db_stats must fail typed");
         // Close reports the poisoning as a typed error.
         assert!(sdb.close().is_err());
     }

@@ -25,13 +25,14 @@ fn build_db(filter: FilterKind) -> Db {
         db.put(&e.key(), b"sensor-record-payload-......").unwrap(); // small value
     }
     db.flush().unwrap();
-    db.reset_io_stats();
     db
 }
 
 fn closed_seeks(db: &Db, range_ns: u64, queries: usize) -> (usize, u64, f64) {
     let mut state = 99u64;
     let mut hits = 0usize;
+    let disk = db.disk_handle();
+    let reads0 = disk.stats().block_reads;
     let start = std::time::Instant::now();
     for _ in 0..queries {
         let base = memtree::common::hash::splitmix64(&mut state) % 10_000_000_000;
@@ -44,7 +45,7 @@ fn closed_seeks(db: &Db, range_ns: u64, queries: usize) -> (usize, u64, f64) {
         }
     }
     let secs = start.elapsed().as_secs_f64();
-    (hits, db.io_stats().block_reads, queries as f64 / secs)
+    (hits, disk.stats().block_reads - reads0, queries as f64 / secs)
 }
 
 fn main() {

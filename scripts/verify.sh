@@ -42,4 +42,7 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo clippy --all-targets -D warnings (offline) =="
 cargo clippy --all-targets --offline -- -D warnings
 
+echo "== cargo doc --workspace -D warnings (intra-doc links cannot rot, offline) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "verify: OK"
